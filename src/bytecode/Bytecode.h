@@ -13,13 +13,21 @@
 /// (Frame slots [Layout-slots, Layout-slots + temps)), so Frame/FramePool
 /// are reused unchanged and temporaries are as cheap as locals.
 ///
-/// The lowering preserves the AST walker's *exact* accounting: each AST
-/// node corresponds to exactly one charging point in the stream, emitted
-/// in pre-order (charge at node entry, before children), so RunStats —
-/// NodesEvaluated, NodeMix, Cycles, dispatch counters, PeakDepth, trap
-/// kinds — are bit-identical between tiers.  Charging is either fused
-/// into a leaf instruction (literals, variable reads) or carried by a
-/// dedicated Charge instruction preceding the node's child code.
+/// The lowering preserves the AST walker's *exact* accounting without
+/// putting it in the instruction stream.  Each AST node still has exactly
+/// one charge point (its chargeNode(), in pre-order), but the points live
+/// in a per-function side table (BcFunction::Charges) and are summed into
+/// charge regions: straight-line ranges that start at function entry, a
+/// jump or branch target, the CondBranch fall-through, the continuation
+/// of a call that can run charged code, or a non-local-return landing
+/// pad, and end at the first control transfer.  The instruction that
+/// enters a region charges its whole summary at once; the interpreter
+/// falls back to applying the points one by one only for a region that
+/// would cross the node budget or a deadline poll, and gives back the
+/// unreached part of a region when an instruction inside it traps.  So
+/// RunStats — NodesEvaluated, NodeMix, Cycles, dispatch counters,
+/// PeakDepth — and trap kinds, locations and text are bit-identical
+/// between tiers.
 ///
 /// Call sites consult a small inline cache of (class tuple -> method,
 /// version) entries before the Dispatcher's PIC/memo machinery, so the
@@ -39,9 +47,9 @@
 /// Non-local returns: boundary-B returns lexically inside their matching
 /// InlinedExpr region resolve statically to a move + jump; all others
 /// become RetNonLocal, unwound at call instructions against the
-/// per-function BcRegion table (pc-range containment picks the innermost
-/// matching region, the bytecode analogue of the nearest enclosing
-/// InlinedExpr catch in the AST walker).
+/// per-function BcInlinedRegion table (pc-range containment picks the
+/// innermost matching region, the bytecode analogue of the nearest
+/// enclosing InlinedExpr catch in the AST walker).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,12 +72,13 @@ namespace selspec {
 class CompiledProgram;
 struct CompiledMethod;
 
-/// Opcodes of the register bytecode.  "Charged" ops fuse the AST node's
-/// chargeNode (budget/deadline accounting + NodeMix) with their action;
-/// "raw" ops are lowering glue that the AST walker had no node for and
-/// charge nothing.
+/// Opcodes of the register bytecode.  Leaves whose AST node is a charge
+/// point ("charged") and raw lowering glue look the same to the dispatch
+/// loop: every charge is folded into the region summaries.  Terminators
+/// (Jump, CondBranch, every Call* but CallPrim, RetLocal, RetNonLocal) end
+/// a charge region; the first three enter the next one.
 enum class BcOp : uint8_t {
-  // Charged, fused leaves.
+  // Charged leaves.
   LoadInt,        ///< IntLit.  A=dst; K=1: D is an int32 immediate, else
                   ///< D indexes IntPool.
   LoadBool,       ///< BoolLit.  A=dst, K=value.
@@ -78,9 +87,6 @@ enum class BcOp : uint8_t {
   LoadVarSlot,    ///< VarRef of a frame slot.  A=dst, B=slot index.
   LoadVarCell,    ///< VarRef of an owned cell.  A=dst, B=cell index.
   LoadVarCapture, ///< VarRef of a captured cell.  A=dst, B=capture index.
-
-  // Charge-only marker for composite nodes (children follow).
-  Charge, ///< K=Expr::Kind; Loc is the node's (for budget/deadline traps).
 
   // Raw data movement.
   Move,         ///< A=dst, B=src.
@@ -91,21 +97,25 @@ enum class BcOp : uint8_t {
   LetCell,      ///< cell B = fresh Cell{R[A]}  (per-execution let / binding).
 
   // Raw control flow.
-  Jump,       ///< Pc = D.
+  Jump,       ///< Pc = D, entering charge region bcBranchRegion().
   CondBranch, ///< R[A] must be Bool else TypeError (K=0 "if", K=1 "while");
-              ///< false jumps to D, true falls through.
+              ///< false jumps to D entering charge region bcBranchRegion(),
+              ///< true falls through entering the region after it.
   StackCheck, ///< Native-stack backstop probe (InlinedExpr entry).
 
   // Calls.  A=dst, B=first argument register, C=arg count, D=BcSite
-  // index.  The Send node's charge is a preceding Charge instruction
-  // (pre-order: charge, then argument code, then the call).
+  // index; the continuation enters charge region BcSite::Cont.  The
+  // argument window is either consecutive temps or, when every argument
+  // is a read of consecutive frame slots, those slots themselves.
   CallDyn,      ///< SendBindKind::Dynamic.
   CallStatic,   ///< SendBindKind::Static.
   CallSelect,   ///< SendBindKind::StaticSelect.
-  CallPrim,     ///< SendBindKind::InlinePrim.
+  CallPrim,     ///< SendBindKind::InlinePrim (runs no charged code, so it
+                ///< does not end a region).
   CallPred,     ///< SendBindKind::Predicted.
   CallFeedback, ///< SendBindKind::FeedbackGuard.
-  CallClosure,  ///< A=dst, B=callee register (args at B+1..B+C), C=count.
+  CallClosure,  ///< A=dst, B=callee register (args at B+1..B+C), C=count,
+                ///< D=continuation charge region.
 
   // Objects and closures.
   MakeClosure, ///< Charged ClosureLit.  A=dst, D=Closures index.
@@ -120,12 +130,34 @@ enum class BcOp : uint8_t {
   RetNonLocal, ///< Control{Return, CurrentHome, D} with value R[A].
 };
 
+/// Number of opcodes (jump-table sizing).
+constexpr unsigned BcNumOps = static_cast<unsigned>(BcOp::RetNonLocal) + 1;
+
+/// True for the opcodes that end a charge region.
+constexpr bool bcEndsRegion(BcOp Op) {
+  switch (Op) {
+  case BcOp::Jump:
+  case BcOp::CondBranch:
+  case BcOp::CallDyn:
+  case BcOp::CallStatic:
+  case BcOp::CallSelect:
+  case BcOp::CallPred:
+  case BcOp::CallFeedback:
+  case BcOp::CallClosure:
+  case BcOp::RetLocal:
+  case BcOp::RetNonLocal:
+    return true;
+  default:
+    return false;
+  }
+}
+
 /// Readable opcode name ("LoadInt", "CallDyn", ...).
 const char *bcOpName(BcOp Op);
 
 /// One instruction.  Fixed 12-byte encoding; registers are frame-slot
 /// indices (uint16), wide operands (jump targets, pool/site indexes,
-/// return boundaries) live in D.
+/// return boundaries, CallClosure's continuation region) live in D.
 struct Insn {
   BcOp Op;
   uint8_t K = 0;
@@ -134,6 +166,12 @@ struct Insn {
   uint16_t C = 0;
   uint32_t D = 0;
 };
+
+/// The charge region a Jump or CondBranch enters, split over B (low half)
+/// and C (high half) so that D can hold the target pc.
+inline uint32_t bcBranchRegion(const Insn &I) {
+  return static_cast<uint32_t>(I.B) | static_cast<uint32_t>(I.C) << 16;
+}
 
 /// Inline-cache geometry: entries per site and the widest class tuple an
 /// entry can hold (wider tuples always take the Dispatcher path).
@@ -164,6 +202,8 @@ struct BcSite {
   /// Module-dense index of this site's per-thread inline cache
   /// (< BcModule::NumIcSlots).
   uint32_t IcSlot = 0;
+  /// Charge region the call's continuation enters (unused for CallPrim).
+  uint32_t Cont = 0;
 };
 
 /// Per slot-access site: the slot name plus the module-dense index of its
@@ -190,12 +230,45 @@ struct BcClosureRef {
 
 /// An inlined-body region: pc range of the body code, the return boundary
 /// it catches, and the register its value lands in.  The landing pc is
-/// End (the first instruction after the body).
-struct BcRegion {
+/// End (the first instruction after the body), entered through charge
+/// region Landing.
+struct BcInlinedRegion {
   uint32_t Start = 0;
   uint32_t End = 0;
   uint32_t Boundary = 0;
   uint16_t Dst = 0;
+  uint32_t Landing = 0;
+};
+
+/// One charge point: the chargeNode() of one AST node, which precedes the
+/// action of instruction Pc (a leaf's own instruction, or the first
+/// instruction of a composite node's child code).
+struct BcCharge {
+  uint32_t Pc = 0;
+  Expr::Kind Kind = Expr::Kind::IntLit;
+  /// The node's location, reported by a budget or deadline trap.
+  SourceLoc Loc;
+};
+
+/// A charge region: the straight-line run from Start through the first
+/// region-ending instruction, with the charge points met on the way
+/// (BcFunction::Charges[FirstCharge, FirstCharge + Nodes)).  Regions of
+/// one function may share instructions: a merge point reached by
+/// fall-through continues its predecessor's region.
+struct BcChargeRegion {
+  uint32_t Start = 0;
+  uint32_t Nodes = 0;
+  /// Instructions dispatched by one pass (Start through the terminator).
+  uint32_t Len = 0;
+  uint32_t FirstCharge = 0;
+};
+
+/// Per instruction: what its region still owes after it, given back when
+/// the instruction traps after its region was charged whole.
+struct BcChargeSuffix {
+  uint32_t FirstCharge = 0; ///< first charge point after this pc
+  uint32_t Nodes = 0;       ///< charge points from there to the terminator
+  uint32_t Insns = 0;       ///< instructions after this pc in the region
 };
 
 /// One compiled executable body.
@@ -230,7 +303,18 @@ struct BcFunction {
   std::vector<BcSlotSite> SlotSites;
   std::vector<BcNewSite> NewSites;
   std::vector<BcClosureRef> Closures;
-  std::vector<BcRegion> Regions;
+  std::vector<BcInlinedRegion> InlinedRegions;
+
+  /// Charge points in stream order (non-decreasing Pc).
+  std::vector<BcCharge> Charges;
+  /// Region 0 is entered by the prologue; the rest by the instructions
+  /// and sites that name them.
+  std::vector<BcChargeRegion> ChargeRegions;
+  /// Cold, one per instruction: the trap give-back table.
+  std::vector<BcChargeSuffix> Suffixes;
+  /// Module-dense index of ChargeRegions[0] (per-interpreter region entry
+  /// counts are indexed RegionBase + region).
+  uint32_t RegionBase = 0;
 };
 
 /// A compiled program: one BcFunction per non-builtin compiled method
@@ -248,6 +332,8 @@ struct BcModule {
   /// Module-wide count of slot-access cache slots (BcSlotSite::CacheSlot
   /// range).
   uint32_t NumSlotCacheSlots = 0;
+  /// Module-wide count of charge regions (BcFunction::RegionBase range).
+  uint32_t NumChargeRegions = 0;
   /// Total instruction-stream bytes (the `bytecode.code_bytes` counter).
   uint64_t CodeBytes = 0;
   /// Compiled function count (methods + closures).

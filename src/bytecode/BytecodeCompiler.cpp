@@ -5,19 +5,33 @@
 //===----------------------------------------------------------------------===//
 //
 // The lowering discipline that keeps RunStats bit-identical to the AST
-// walker: every AST node contributes exactly one charging point, emitted
-// in pre-order.  Leaves whose whole action is trivial fuse charge+action
-// into one instruction; composite nodes emit a Charge marker, then their
-// children's code, then raw action instructions.  Raw instructions (Move,
-// Jump, CondBranch, stores, InitSlot, ...) charge nothing because the AST
-// walker had no node there.
+// walker: every AST node contributes exactly one charge point, recorded in
+// pre-order (at node entry, before its children) in the function's
+// Charges table rather than as an instruction.  A charge point precedes
+// the action of the next instruction emitted: a leaf's own instruction,
+// or the first instruction of a composite node's child code.
+//
+// Control transfers get charge regions instead of code: each instruction
+// that enters a region (Jump, CondBranch, a call's continuation, the
+// inlined-body landing pad, the prologue) names a region bound to a Label
+// — a pc plus the number of charge points recorded before it, because a
+// loop head shares its pc with the While's own charge, which runs once,
+// not per iteration.  finishRegions() then sums each region from its
+// label to the first region-ending instruction and builds the per-pc trap
+// give-back table.
 //
 // Register model: expression results flow through temp registers, which
 // are frame slots past the body's source layout.  compileExpr(E, Dst)
 // leaves E's value in Dst and may clobber any register > Dst; sequential
 // children that must coexist (call arguments) are laid out contiguously
 // at Dst, Dst+1, ..., which is exactly the calling convention (callees
-// read arguments from the caller's register window).
+// read arguments from the caller's register window).  A read of a plain
+// frame slot feeding a consumer that can name a register (slot access
+// objects and values, branch conditions, stores, returns, argument
+// windows of consecutive slots) is not copied: the consumer reads the
+// slot itself and the read's VarRef charge stays in the region summary.
+// That is only done when nothing evaluated between the read and the
+// consumer can store into the slot.
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +51,44 @@ metrics::Counter CtrCompiledFunctions("bytecode.compiled_functions");
 metrics::Counter CtrCodeBytes("bytecode.code_bytes");
 metrics::Counter CtrCompileFallbacks("bytecode.compile_fallbacks");
 
+/// The VarRef \p E when it reads a plain frame slot, else null.
+const VarRefExpr *slotRead(const Expr *E) {
+  const auto *V = dyn_cast<VarRefExpr>(E);
+  return V && V->Slot.Loc == VarLoc::Slot ? V : nullptr;
+}
+
+/// Whether evaluating \p E can store into frame slot \p Slot of the
+/// current frame.  Closure bodies run in frames of their own.
+bool maySetSlot(const Expr *E, uint32_t Slot) {
+  auto Stores = [Slot](const SlotRef &Where) {
+    return Where.Loc != VarLoc::Cell && Where.Index == Slot;
+  };
+  switch (E->getKind()) {
+  case Expr::Kind::ClosureLit:
+    return false;
+  case Expr::Kind::AssignVar:
+    if (Stores(cast<AssignVarExpr>(E)->Slot))
+      return true;
+    break;
+  case Expr::Kind::Let:
+    if (Stores(cast<LetExpr>(E)->Slot))
+      return true;
+    break;
+  case Expr::Kind::Inlined:
+    for (const SlotRef &Where : cast<InlinedExpr>(E)->BindingSlots)
+      if (Stores(Where))
+        return true;
+    break;
+  default:
+    break;
+  }
+  bool Found = false;
+  forEachChild(E, [&](const Expr *Child) {
+    Found = Found || maySetSlot(Child, Slot);
+  });
+  return Found;
+}
+
 class ModuleBuilder {
 public:
   ModuleBuilder(const CompiledProgram &CP, BcModule &Mod)
@@ -46,11 +98,18 @@ public:
   const std::string &error() const { return Error; }
 
 private:
+  /// A position in the stream a region can start at: the next pc plus
+  /// how many charge points precede it.
+  struct Label {
+    uint32_t Pc;
+    uint32_t Charge;
+  };
+
   /// One open InlinedExpr region during body compilation.
   struct OpenRegion {
     uint32_t Boundary;
     uint32_t Dst;
-    std::vector<uint32_t> ExitJumps; ///< pcs of Jumps to patch to End.
+    std::vector<uint32_t> ExitRegions; ///< charge regions to bind at End.
   };
 
   /// Per-function compilation state (saved/restored around closure
@@ -67,6 +126,10 @@ private:
   bool compileInto(BcFunction &Fn, const Expr *Body,
                    const FrameLayout &SrcLayout);
   bool compileExpr(const Expr *E, uint32_t Dst);
+  bool operand(const Expr *E, uint32_t Dst, uint32_t &Reg);
+  bool slotWindow(const Expr *Head, const std::vector<ExprPtr> &Tail,
+                  uint32_t &First);
+  void finishRegions(BcFunction &Fn);
 
   bool fail(const std::string &Why) {
     if (Error.empty())
@@ -89,7 +152,25 @@ private:
   }
 
   uint32_t here() const { return static_cast<uint32_t>(S.Fn->Code.size()); }
-  void patch(uint32_t Pc, uint32_t Target) { S.Fn->Code[Pc].D = Target; }
+  Label label() const {
+    return {here(), static_cast<uint32_t>(S.Fn->Charges.size())};
+  }
+
+  /// Records \p E's charge point ahead of the next instruction.
+  void charge(const Expr *E) {
+    S.Fn->Charges.push_back(BcCharge{here(), E->getKind(), E->getLoc()});
+  }
+
+  /// Allocates \p N consecutive charge regions, bound later.
+  uint32_t newRegions(uint32_t N = 1) {
+    uint32_t First = static_cast<uint32_t>(S.Fn->ChargeRegions.size());
+    S.Fn->ChargeRegions.resize(First + N);
+    return First;
+  }
+  void bind(uint32_t Region, Label L) {
+    S.Fn->ChargeRegions[Region].Start = L.Pc;
+    S.Fn->ChargeRegions[Region].FirstCharge = L.Charge;
+  }
 
   /// Registers a destination/operand register; the uint16 encoding bound
   /// is checked once per function in compileInto.
@@ -106,6 +187,8 @@ private:
   BcModule &Mod;
   FnState S;
   std::string Error;
+  /// finishRegions' per-pc scratch, reused across functions.
+  std::vector<uint32_t> After, Term;
 };
 
 bool ModuleBuilder::run() {
@@ -178,6 +261,7 @@ bool ModuleBuilder::compileInto(BcFunction &Fn, const Expr *Body,
                                 const FrameLayout &SrcLayout) {
   Fn.FirstTemp = SrcLayout.NumSlots;
   S.MaxReg = SrcLayout.NumSlots;
+  bind(newRegions(), label()); // region 0: the prologue's
   if (!compileExpr(Body, SrcLayout.NumSlots))
     return false;
   emit(BcOp::RetLocal, Body->getLoc(), 0, SrcLayout.NumSlots);
@@ -187,17 +271,91 @@ bool ModuleBuilder::compileInto(BcFunction &Fn, const Expr *Body,
   Fn.NumTemps = S.MaxReg - SrcLayout.NumSlots;
   Fn.Layout = SrcLayout;
   Fn.Layout.NumSlots = S.MaxReg;
+  finishRegions(Fn);
+  return true;
+}
+
+void ModuleBuilder::finishRegions(BcFunction &Fn) {
+  const uint32_t N = static_cast<uint32_t>(Fn.Code.size());
+  // After[Pc]: index of the first charge point past Pc's action.
+  // Term[Pc]: the region-ending instruction at or after Pc (the stream
+  // ends in RetLocal, so there always is one).
+  After.resize(N);
+  Term.resize(N);
+  uint32_t Ch = 0;
+  for (uint32_t Pc = 0; Pc != N; ++Pc) {
+    while (Ch != Fn.Charges.size() && Fn.Charges[Ch].Pc <= Pc)
+      ++Ch;
+    After[Pc] = Ch;
+  }
+  for (uint32_t Pc = N, T = N - 1; Pc-- != 0;) {
+    if (bcEndsRegion(Fn.Code[Pc].Op))
+      T = Pc;
+    Term[Pc] = T;
+  }
+  // Branches were emitted naming their region in D; give D the target pc
+  // and move the region to B:C (bcBranchRegion).
+  for (Insn &I : Fn.Code)
+    if (I.Op == BcOp::Jump || I.Op == BcOp::CondBranch) {
+      const uint32_t Region = I.D;
+      I.B = static_cast<uint16_t>(Region);
+      I.C = static_cast<uint16_t>(Region >> 16);
+      I.D = Fn.ChargeRegions[Region].Start;
+    }
+  Fn.Suffixes.resize(N);
+  for (uint32_t Pc = 0; Pc != N; ++Pc)
+    Fn.Suffixes[Pc] = BcChargeSuffix{After[Pc], After[Term[Pc]] - After[Pc],
+                                     Term[Pc] - Pc};
+  for (BcChargeRegion &Rg : Fn.ChargeRegions) {
+    Rg.Len = Term[Rg.Start] - Rg.Start + 1;
+    Rg.Nodes = After[Term[Rg.Start]] - Rg.FirstCharge;
+  }
+  Fn.RegionBase = Mod.NumChargeRegions;
+  Mod.NumChargeRegions += static_cast<uint32_t>(Fn.ChargeRegions.size());
+}
+
+bool ModuleBuilder::operand(const Expr *E, uint32_t Dst, uint32_t &Reg) {
+  if (const VarRefExpr *V = slotRead(E)) {
+    if (!index16(V->Slot.Index))
+      return fail("variable index exceeds uint16 encoding");
+    charge(E);
+    Reg = V->Slot.Index;
+    return true;
+  }
+  Reg = Dst;
+  return compileExpr(E, Dst);
+}
+
+/// The window is \p Head (when non-null) followed by \p Tail.
+bool ModuleBuilder::slotWindow(const Expr *Head,
+                               const std::vector<ExprPtr> &Tail,
+                               uint32_t &First) {
+  const Expr *FirstExpr = Head ? Head : Tail.empty() ? nullptr : Tail[0].get();
+  const VarRefExpr *V0 = FirstExpr ? slotRead(FirstExpr) : nullptr;
+  const size_t N = Tail.size() + (Head ? 1 : 0);
+  if (!V0 || !index16(V0->Slot.Index + N - 1))
+    return false;
+  for (size_t I = 0; I != Tail.size(); ++I) {
+    const VarRefExpr *V = slotRead(Tail[I].get());
+    if (!V || V->Slot.Index != V0->Slot.Index + I + (Head ? 1 : 0))
+      return false;
+  }
+  First = V0->Slot.Index;
+  if (Head)
+    charge(Head);
+  for (const ExprPtr &E : Tail)
+    charge(E.get());
   return true;
 }
 
 bool ModuleBuilder::compileExpr(const Expr *E, uint32_t Dst) {
   touchReg(Dst);
   const SourceLoc Loc = E->getLoc();
-  const uint8_t Kind = static_cast<uint8_t>(E->getKind());
 
   switch (E->getKind()) {
   case Expr::Kind::IntLit: {
     int64_t V = cast<IntLitExpr>(E)->Value;
+    charge(E);
     if (V >= std::numeric_limits<int32_t>::min() &&
         V <= std::numeric_limits<int32_t>::max()) {
       emit(BcOp::LoadInt, Loc, 1, Dst, 0, 0,
@@ -211,16 +369,19 @@ bool ModuleBuilder::compileExpr(const Expr *E, uint32_t Dst) {
   }
 
   case Expr::Kind::BoolLit:
+    charge(E);
     emit(BcOp::LoadBool, Loc, cast<BoolLitExpr>(E)->Value ? 1 : 0, Dst);
     return true;
 
   case Expr::Kind::StrLit:
+    charge(E);
     S.Fn->StrPool.push_back(&cast<StrLitExpr>(E)->Value);
     emit(BcOp::LoadStr, Loc, 0, Dst, 0, 0,
          static_cast<uint32_t>(S.Fn->StrPool.size() - 1));
     return true;
 
   case Expr::Kind::NilLit:
+    charge(E);
     emit(BcOp::LoadNil, Loc, 0, Dst);
     return true;
 
@@ -230,12 +391,15 @@ bool ModuleBuilder::compileExpr(const Expr *E, uint32_t Dst) {
       return fail("variable index exceeds uint16 encoding");
     switch (V->Slot.Loc) {
     case VarLoc::Slot:
+      charge(E);
       emit(BcOp::LoadVarSlot, Loc, 0, Dst, V->Slot.Index);
       return true;
     case VarLoc::Cell:
+      charge(E);
       emit(BcOp::LoadVarCell, Loc, 0, Dst, V->Slot.Index);
       return true;
     case VarLoc::Capture:
+      charge(E);
       emit(BcOp::LoadVarCapture, Loc, 0, Dst, V->Slot.Index);
       return true;
     case VarLoc::Unresolved:
@@ -246,7 +410,7 @@ bool ModuleBuilder::compileExpr(const Expr *E, uint32_t Dst) {
 
   case Expr::Kind::AssignVar: {
     const auto *A = cast<AssignVarExpr>(E);
-    emit(BcOp::Charge, Loc, Kind);
+    charge(E);
     if (!compileExpr(A->Value.get(), Dst))
       return false;
     if (!index16(A->Slot.Index))
@@ -270,24 +434,25 @@ bool ModuleBuilder::compileExpr(const Expr *E, uint32_t Dst) {
 
   case Expr::Kind::Let: {
     const auto *L = cast<LetExpr>(E);
-    emit(BcOp::Charge, Loc, Kind);
-    if (!compileExpr(L->Init.get(), Dst))
+    charge(E);
+    uint32_t Src;
+    if (!operand(L->Init.get(), Dst, Src))
       return false;
     if (!index16(L->Slot.Index))
       return fail("variable index exceeds uint16 encoding");
     // Mirrors the AST walker: a Cell-located let makes a fresh cell per
     // execution; anything else stores into the plain slot.
     if (L->Slot.Loc == VarLoc::Cell)
-      emit(BcOp::LetCell, Loc, 0, Dst, L->Slot.Index);
+      emit(BcOp::LetCell, Loc, 0, Src, L->Slot.Index);
     else
-      emit(BcOp::StoreSlot, Loc, 0, Dst, L->Slot.Index);
+      emit(BcOp::StoreSlot, Loc, 0, Src, L->Slot.Index);
     emit(BcOp::LoadNilRaw, Loc, 0, Dst);
     return true;
   }
 
   case Expr::Kind::Seq: {
     const auto *Sq = cast<SeqExpr>(E);
-    emit(BcOp::Charge, Loc, Kind);
+    charge(E);
     if (Sq->Elems.empty()) {
       emit(BcOp::LoadNilRaw, Loc, 0, Dst);
       return true;
@@ -300,35 +465,44 @@ bool ModuleBuilder::compileExpr(const Expr *E, uint32_t Dst) {
 
   case Expr::Kind::If: {
     const auto *I = cast<IfExpr>(E);
-    emit(BcOp::Charge, Loc, Kind);
-    if (!compileExpr(I->Cond.get(), Dst))
+    charge(E);
+    uint32_t Cond;
+    if (!operand(I->Cond.get(), Dst, Cond))
       return false;
-    uint32_t Cb = emit(BcOp::CondBranch, I->Cond->getLoc(), 0, Dst);
+    const uint32_t Branch = newRegions(2); // false, true
+    emit(BcOp::CondBranch, I->Cond->getLoc(), 0, Cond, 0, 0, Branch);
+    bind(Branch + 1, label());
     if (!compileExpr(I->Then.get(), Dst))
       return false;
-    uint32_t J = emit(BcOp::Jump, Loc);
-    patch(Cb, here());
+    const uint32_t Join = newRegions();
+    emit(BcOp::Jump, Loc, 0, 0, 0, 0, Join);
+    bind(Branch, label());
     if (I->Else) {
       if (!compileExpr(I->Else.get(), Dst))
         return false;
     } else {
       emit(BcOp::LoadNilRaw, Loc, 0, Dst);
     }
-    patch(J, here());
+    bind(Join, label());
     return true;
   }
 
   case Expr::Kind::While: {
     const auto *W = cast<WhileExpr>(E);
-    emit(BcOp::Charge, Loc, Kind);
-    uint32_t Loop = here();
-    if (!compileExpr(W->Cond.get(), Dst))
+    charge(E);
+    const Label Loop = label();
+    uint32_t Cond;
+    if (!operand(W->Cond.get(), Dst, Cond))
       return false;
-    uint32_t Cb = emit(BcOp::CondBranch, W->Cond->getLoc(), 1, Dst);
+    const uint32_t Branch = newRegions(2); // false (exit), true (body)
+    emit(BcOp::CondBranch, W->Cond->getLoc(), 1, Cond, 0, 0, Branch);
+    bind(Branch + 1, label());
     if (!compileExpr(W->Body.get(), Dst))
       return false;
-    emit(BcOp::Jump, Loc, 0, 0, 0, 0, Loop);
-    patch(Cb, here());
+    const uint32_t Back = newRegions();
+    emit(BcOp::Jump, Loc, 0, 0, 0, 0, Back);
+    bind(Back, Loop);
+    bind(Branch, label());
     emit(BcOp::LoadNilRaw, Loc, 0, Dst);
     return true;
   }
@@ -337,14 +511,16 @@ bool ModuleBuilder::compileExpr(const Expr *E, uint32_t Dst) {
     const auto *Sd = cast<SendExpr>(E);
     if (Sd->Args.size() > 0xFFFF)
       return fail("send arity exceeds uint16 encoding");
-    emit(BcOp::Charge, Loc, Kind);
-    for (size_t I = 0; I != Sd->Args.size(); ++I)
-      if (!compileExpr(Sd->Args[I].get(), Dst + static_cast<uint32_t>(I)))
-        return false;
+    charge(E);
+    uint32_t Window = Dst;
+    if (!slotWindow(nullptr, Sd->Args, Window))
+      for (size_t I = 0; I != Sd->Args.size(); ++I)
+        if (!compileExpr(Sd->Args[I].get(), Dst + static_cast<uint32_t>(I)))
+          return false;
 
     BcSite Site;
     Site.S = Sd;
-    BcOp Op;
+    BcOp Op = BcOp::CallDyn;
     switch (Sd->Binding.Kind) {
     case SendBindKind::Dynamic:
       Op = BcOp::CallDyn;
@@ -372,9 +548,13 @@ bool ModuleBuilder::compileExpr(const Expr *E, uint32_t Dst) {
     }
     }
     Site.IcSlot = Mod.NumIcSlots++;
+    if (bcEndsRegion(Op))
+      Site.Cont = newRegions();
     S.Fn->Sites.push_back(Site);
-    emit(Op, Loc, 0, Dst, Dst, static_cast<uint32_t>(Sd->Args.size()),
+    emit(Op, Loc, 0, Dst, Window, static_cast<uint32_t>(Sd->Args.size()),
          static_cast<uint32_t>(S.Fn->Sites.size() - 1));
+    if (bcEndsRegion(Op))
+      bind(Site.Cont, label());
     return true;
   }
 
@@ -382,15 +562,20 @@ bool ModuleBuilder::compileExpr(const Expr *E, uint32_t Dst) {
     const auto *Call = cast<ClosureCallExpr>(E);
     if (Call->Args.size() > 0xFFFF)
       return fail("closure-call arity exceeds uint16 encoding");
-    emit(BcOp::Charge, Loc, Kind);
-    if (!compileExpr(Call->Callee.get(), Dst))
-      return false;
-    for (size_t I = 0; I != Call->Args.size(); ++I)
-      if (!compileExpr(Call->Args[I].get(),
-                       Dst + 1 + static_cast<uint32_t>(I)))
+    charge(E);
+    uint32_t Callee = Dst;
+    if (!slotWindow(Call->Callee.get(), Call->Args, Callee)) {
+      if (!compileExpr(Call->Callee.get(), Dst))
         return false;
-    emit(BcOp::CallClosure, Loc, 0, Dst, Dst,
-         static_cast<uint32_t>(Call->Args.size()));
+      for (size_t I = 0; I != Call->Args.size(); ++I)
+        if (!compileExpr(Call->Args[I].get(),
+                         Dst + 1 + static_cast<uint32_t>(I)))
+          return false;
+    }
+    const uint32_t Cont = newRegions();
+    emit(BcOp::CallClosure, Loc, 0, Dst, Callee,
+         static_cast<uint32_t>(Call->Args.size()), Cont);
+    bind(Cont, label());
     return true;
   }
 
@@ -400,6 +585,7 @@ bool ModuleBuilder::compileExpr(const Expr *E, uint32_t Dst) {
     if (!CF)
       return false;
     S.Fn->Closures.push_back(BcClosureRef{Lit, CF});
+    charge(E);
     emit(BcOp::MakeClosure, Loc, 0, Dst, 0, 0,
          static_cast<uint32_t>(S.Fn->Closures.size() - 1));
     return true;
@@ -414,49 +600,62 @@ bool ModuleBuilder::compileExpr(const Expr *E, uint32_t Dst) {
     Site.LayoutSize =
         static_cast<uint32_t>(P.Classes.info(N->Class).Layout.size());
     S.Fn->NewSites.push_back(Site);
+    charge(E);
     emit(BcOp::NewObj, Loc, 0, Dst, 0, 0,
          static_cast<uint32_t>(S.Fn->NewSites.size() - 1));
     for (const auto &[SlotName, Init] : N->Inits) {
-      if (!compileExpr(Init.get(), Dst + 1))
+      uint32_t Value;
+      if (!operand(Init.get(), Dst + 1, Value))
         return false;
       int Idx = P.Classes.slotIndex(N->Class, SlotName);
       if (Idx < 0 || !index16(static_cast<uint32_t>(Idx)))
         return fail("unresolvable slot initializer in new expression");
       emit(BcOp::InitSlot, Init->getLoc(), 0, Dst,
-           static_cast<uint32_t>(Idx), Dst + 1);
+           static_cast<uint32_t>(Idx), Value);
     }
     return true;
   }
 
   case Expr::Kind::SlotGet: {
     const auto *G = cast<SlotGetExpr>(E);
-    emit(BcOp::Charge, Loc, Kind);
-    if (!compileExpr(G->Object.get(), Dst))
+    charge(E);
+    uint32_t Object;
+    if (!operand(G->Object.get(), Dst, Object))
       return false;
     S.Fn->SlotSites.push_back(BcSlotSite{G->SlotName, Mod.NumSlotCacheSlots++});
-    emit(BcOp::GetSlot, Loc, 0, Dst, Dst, 0,
+    emit(BcOp::GetSlot, Loc, 0, Dst, Object, 0,
          static_cast<uint32_t>(S.Fn->SlotSites.size() - 1));
     return true;
   }
 
   case Expr::Kind::SlotSet: {
     const auto *St = cast<SlotSetExpr>(E);
-    emit(BcOp::Charge, Loc, Kind);
-    if (!compileExpr(St->Object.get(), Dst))
+    charge(E);
+    // The object is read before the value runs, so it may only be read in
+    // place when the value cannot reassign its slot.
+    const VarRefExpr *ObjRead = slotRead(St->Object.get());
+    uint32_t Object = Dst;
+    if (ObjRead && !maySetSlot(St->Value.get(), ObjRead->Slot.Index)) {
+      if (!operand(St->Object.get(), Dst, Object))
+        return false;
+    } else if (!compileExpr(St->Object.get(), Dst)) {
       return false;
-    if (!compileExpr(St->Value.get(), Dst + 1))
+    }
+    uint32_t Value;
+    if (!operand(St->Value.get(), Dst + 1, Value))
       return false;
     S.Fn->SlotSites.push_back(BcSlotSite{St->SlotName, Mod.NumSlotCacheSlots++});
-    emit(BcOp::SetSlot, Loc, 0, Dst, Dst, Dst + 1,
+    emit(BcOp::SetSlot, Loc, 0, Dst, Object, Value,
          static_cast<uint32_t>(S.Fn->SlotSites.size() - 1));
     return true;
   }
 
   case Expr::Kind::Return: {
     const auto *R = cast<ReturnExpr>(E);
-    emit(BcOp::Charge, Loc, Kind);
+    charge(E);
+    uint32_t Value = Dst;
     if (R->Value) {
-      if (!compileExpr(R->Value.get(), Dst))
+      if (!operand(R->Value.get(), Dst, Value))
         return false;
     } else {
       emit(BcOp::LoadNilRaw, Loc, 0, Dst);
@@ -469,27 +668,30 @@ bool ModuleBuilder::compileExpr(const Expr *E, uint32_t Dst) {
     for (auto It = S.Open.rbegin(); It != S.Open.rend(); ++It) {
       if (It->Boundary != R->Boundary)
         continue;
-      if (It->Dst != Dst)
-        emit(BcOp::Move, Loc, 0, It->Dst, Dst);
-      It->ExitJumps.push_back(emit(BcOp::Jump, Loc));
+      if (It->Dst != Value)
+        emit(BcOp::Move, Loc, 0, It->Dst, Value);
+      It->ExitRegions.push_back(newRegions());
+      emit(BcOp::Jump, Loc, 0, 0, 0, 0, It->ExitRegions.back());
       return true;
     }
     if (R->Boundary == 0 && S.IsMethod) {
-      emit(BcOp::RetLocal, Loc, 0, Dst);
+      emit(BcOp::RetLocal, Loc, 0, Value);
       return true;
     }
-    emit(BcOp::RetNonLocal, Loc, 0, Dst, 0, 0, R->Boundary);
+    emit(BcOp::RetNonLocal, Loc, 0, Value, 0, 0, R->Boundary);
     return true;
   }
 
   case Expr::Kind::Inlined: {
     const auto *In = cast<InlinedExpr>(E);
-    emit(BcOp::Charge, Loc, Kind);
+    charge(E);
     emit(BcOp::StackCheck, Loc);
     if (In->BindingSlots.size() != In->Bindings.size())
       return fail("inlined body is missing binding slot assignments");
     for (size_t I = 0; I != In->Bindings.size(); ++I) {
-      if (!compileExpr(In->Bindings[I].second.get(), Dst))
+      const Expr *Init = In->Bindings[I].second.get();
+      uint32_t Src;
+      if (!operand(Init, Dst, Src))
         return false;
       const SlotRef &Where = In->BindingSlots[I];
       if (!index16(Where.Index))
@@ -497,21 +699,21 @@ bool ModuleBuilder::compileExpr(const Expr *E, uint32_t Dst) {
       // Mirrors the AST walker's binding stores (Cell -> fresh cell,
       // anything else -> plain slot).
       if (Where.Loc == VarLoc::Cell)
-        emit(BcOp::LetCell, In->Bindings[I].second->getLoc(), 0, Dst,
-             Where.Index);
+        emit(BcOp::LetCell, Init->getLoc(), 0, Src, Where.Index);
       else
-        emit(BcOp::StoreSlot, In->Bindings[I].second->getLoc(), 0, Dst,
-             Where.Index);
+        emit(BcOp::StoreSlot, Init->getLoc(), 0, Src, Where.Index);
     }
     S.Open.push_back(OpenRegion{In->Boundary, Dst, {}});
     uint32_t Start = here();
     if (!compileExpr(In->Body.get(), Dst))
       return false;
-    uint32_t End = here();
-    for (uint32_t J : S.Open.back().ExitJumps)
-      patch(J, End);
-    S.Fn->Regions.push_back(
-        BcRegion{Start, End, In->Boundary, static_cast<uint16_t>(Dst)});
+    const Label End = label();
+    for (uint32_t Exit : S.Open.back().ExitRegions)
+      bind(Exit, End);
+    const uint32_t Landing = newRegions();
+    bind(Landing, End);
+    S.Fn->InlinedRegions.push_back(BcInlinedRegion{
+        Start, End.Pc, In->Boundary, static_cast<uint16_t>(Dst), Landing});
     S.Open.pop_back();
     return true;
   }

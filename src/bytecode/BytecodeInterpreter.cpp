@@ -11,13 +11,15 @@
 // bit-identical between the tiers.  When editing either interpreter,
 // update the other.
 //
-// The only genuinely new machinery is the per-site inline cache: before
+// Two pieces of machinery are new.  The per-site inline cache: before
 // falling back to the Dispatcher's PIC/memo lookup, a call instruction
 // probes the BcIcEntry slots baked into its BcSite.  A hit must return
 // exactly what the dispatcher would have (the program is immutable during
 // a run), so the substitution is invisible to RunStats; SELSPEC_IC_AUDIT=1
 // re-verifies every hit against ground-truth dispatch and counts
-// `bytecode.ic_misdispatch`.
+// `bytecode.ic_misdispatch`.  And region charging: the AST walker's
+// per-node chargeNode() is applied a charge region at a time (see
+// execute()), which reaches the same RunStats and the same traps.
 //
 //===----------------------------------------------------------------------===//
 
@@ -74,6 +76,7 @@ metrics::Counter CtrDeadlineExpired("deadline.expired");
 metrics::Counter CtrIcHits("bytecode.ic_hits");
 metrics::Counter CtrIcMisses("bytecode.ic_misses");
 metrics::Counter CtrIcMisdispatch("bytecode.ic_misdispatch");
+metrics::Counter CtrInsnsDispatched("bytecode.insns_dispatched");
 } // namespace
 
 BytecodeInterpreter::BytecodeInterpreter(const CompiledProgram &CP,
@@ -82,7 +85,7 @@ BytecodeInterpreter::BytecodeInterpreter(const CompiledProgram &CP,
     : CP(CP), P(CP.program()), Mod(Mod), Opts(Opts), Costs(Costs),
       Disp(Opts.Tables ? Dispatcher(*Opts.Tables) : Dispatcher(P)),
       IcTable(Mod.NumIcSlots), SlotCaches(Mod.NumSlotCacheSlots),
-      StackBudget(nativeStackBudget()) {
+      StackBudget(nativeStackBudget()), RegionHits(Mod.NumChargeRegions) {
   assert(Mod.Ok && "executing a module that failed to compile");
   const char *Audit = std::getenv("SELSPEC_IC_AUDIT");
   IcAudit = Audit && Audit[0] && !(Audit[0] == '0' && Audit[1] == '\0');
@@ -107,6 +110,7 @@ BytecodeInterpreter::~BytecodeInterpreter() {
   CtrIcHits.add(IcHits);
   CtrIcMisses.add(IcMisses);
   CtrIcMisdispatch.add(IcMisdispatches);
+  CtrInsnsDispatched.add(InsnsDispatched);
 }
 
 std::string BytecodeInterpreter::valueToString(const Value &V) const {
@@ -253,6 +257,36 @@ Value BytecodeInterpreter::failInjected(Control &C, SourceLoc Loc,
                                         const char *Name) {
   return fail(C, TrapKind::InternalError, Loc,
               failpoint::failureMessage(Name));
+}
+
+void BytecodeInterpreter::giveBack(const BcFunction &Fn, uint32_t Pc) {
+  // NodeMix may dip below zero until the region's entry is folded in;
+  // unsigned arithmetic wraps back to the exact count.
+  const BcChargeSuffix &Rest = Fn.Suffixes[Pc];
+  Stats.NodesEvaluated -= Rest.Nodes;
+  for (uint32_t I = 0; I != Rest.Nodes; ++I)
+    --Stats.NodeMix[static_cast<size_t>(
+        Fn.Charges[Rest.FirstCharge + I].Kind)];
+  InsnsDispatched -= Rest.Insns;
+}
+
+void BytecodeInterpreter::foldRegionCounts() {
+  for (const std::unique_ptr<BcFunction> &Fn : Mod.Functions) {
+    uint64_t *Hits = RegionHits.data() + Fn->RegionBase;
+    for (size_t R = 0; R != Fn->ChargeRegions.size(); ++R) {
+      const uint64_t N = Hits[R];
+      if (!N)
+        continue;
+      Hits[R] = 0;
+      const BcChargeRegion &Rg = Fn->ChargeRegions[R];
+      InsnsDispatched += N * Rg.Len;
+      for (uint32_t I = 0; I != Rg.Nodes; ++I)
+        Stats.NodeMix[static_cast<size_t>(
+            Fn->Charges[Rg.FirstCharge + I].Kind)] += N;
+    }
+  }
+  Stats.Cycles += (Stats.NodesEvaluated - NodesFolded) * Costs.NodeCost;
+  NodesFolded = Stats.NodesEvaluated;
 }
 
 void BytecodeInterpreter::recordArc(CallSiteId Site, MethodId Callee) {
@@ -585,6 +619,9 @@ Value BytecodeInterpreter::execute(const BcFunction &Fn, Frame &F,
                                    uint64_t Activation, Control &C) {
   const Insn *const Code = Fn.Code.data();
   const SourceLoc *const Locs = Fn.Locs.data();
+  const BcChargeRegion *const Regions = Fn.ChargeRegions.data();
+  const BcCharge *const Charges = Fn.Charges.data();
+  uint64_t *const Hits = RegionHits.data() + Fn.RegionBase;
   // The register file: the frame's slot array.  Registers [0, FirstTemp)
   // are the body's locals, the rest are lowering temps.  The pointer is
   // stable for the whole activation (configure() sized the vector up
@@ -592,10 +629,15 @@ Value BytecodeInterpreter::execute(const BcFunction &Fn, Frame &F,
   Value *R = F.slotData();
   const Insn *Ip = Code;
   Value CallVal;
-  // Hot-loop constants hoisted out of member indirections so they live in
-  // registers across the dispatch gotos.
+  // The region being entered, and a call's continuation region.
+  uint32_t Region = 0;
+  uint32_t Cont = 0;
+  // Stepping mode: the charge points of the current region not yet
+  // applied, [StepCharge, StepEnd).
+  uint32_t StepCharge = 0;
+  uint32_t StepEnd = 0;
+  // The stepping path's limits.
   const uint64_t MaxNodes = Opts.Limits.MaxNodes;
-  const uint64_t NodeCost = Costs.NodeCost;
   const CancelToken *const Cancel = Opts.Cancel;
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -604,26 +646,6 @@ Value BytecodeInterpreter::execute(const BcFunction &Fn, Frame &F,
 #define BC_UNLIKELY(X) (X)
 #endif
 
-  // The charge fast path, inlined at every charged instruction: exactly
-  // the AST walker's chargeNode() accounting (same order, same sampled
-  // deadline poll), with the source location materialized only on the
-  // cold trap paths.
-#define BC_CHARGE(KindV)                                                       \
-  do {                                                                         \
-    ++Stats.NodesEvaluated;                                                    \
-    Stats.Cycles += NodeCost;                                                  \
-    if (BC_UNLIKELY(Stats.NodesEvaluated > MaxNodes)) {                        \
-      failNodeBudget(C, Locs[Ip - Code]);                                      \
-      return Value::nil();                                                     \
-    }                                                                          \
-    if (BC_UNLIKELY((Stats.NodesEvaluated & DeadlineCheckMask) == 0) &&        \
-        Cancel && Cancel->stopRequested()) {                                   \
-      failDeadline(C, Locs[Ip - Code]);                                        \
-      return Value::nil();                                                     \
-    }                                                                          \
-    ++Stats.NodeMix[static_cast<size_t>(KindV)];                               \
-  } while (0)
-
 #if defined(__GNUC__) || defined(__clang__)
   // Computed-goto dispatch: one indirect branch per instruction with a
   // per-opcode target the predictor can learn.  Table order must match
@@ -631,26 +653,80 @@ Value BytecodeInterpreter::execute(const BcFunction &Fn, Frame &F,
   static const void *const JumpTable[] = {
       &&L_LoadInt,      &&L_LoadBool,     &&L_LoadStr,
       &&L_LoadNil,      &&L_LoadVarSlot,  &&L_LoadVarCell,
-      &&L_LoadVarCapture, &&L_Charge,     &&L_Move,
-      &&L_LoadNilRaw,   &&L_StoreSlot,    &&L_StoreCell,
-      &&L_StoreCapture, &&L_LetCell,      &&L_Jump,
-      &&L_CondBranch,   &&L_StackCheck,   &&L_CallDyn,
-      &&L_CallStatic,   &&L_CallSelect,   &&L_CallPrim,
-      &&L_CallPred,     &&L_CallFeedback, &&L_CallClosure,
-      &&L_MakeClosure,  &&L_NewObj,       &&L_InitSlot,
-      &&L_GetSlot,      &&L_SetSlot,      &&L_RetLocal,
-      &&L_RetNonLocal,
+      &&L_LoadVarCapture, &&L_Move,       &&L_LoadNilRaw,
+      &&L_StoreSlot,    &&L_StoreCell,    &&L_StoreCapture,
+      &&L_LetCell,      &&L_Jump,         &&L_CondBranch,
+      &&L_StackCheck,   &&L_CallDyn,      &&L_CallStatic,
+      &&L_CallSelect,   &&L_CallPrim,     &&L_CallPred,
+      &&L_CallFeedback, &&L_CallClosure,  &&L_MakeClosure,
+      &&L_NewObj,       &&L_InitSlot,     &&L_GetSlot,
+      &&L_SetSlot,      &&L_RetLocal,     &&L_RetNonLocal,
   };
-  static_assert(sizeof(JumpTable) / sizeof(JumpTable[0]) ==
-                    static_cast<size_t>(BcOp::RetNonLocal) + 1,
+  static_assert(sizeof(JumpTable) / sizeof(JumpTable[0]) == BcNumOps,
                 "jump table out of sync with BcOp");
-#define BC_DISPATCH() goto *JumpTable[static_cast<uint8_t>(Ip->Op)]
-  BC_DISPATCH();
+  // The stepping table sends every opcode through L_Step, which applies
+  // the charge points preceding the instruction and then jumps to its
+  // handler through JumpTable.
+  static const void *const StepTable[] = {
+      &&L_Step, &&L_Step, &&L_Step, &&L_Step, &&L_Step, &&L_Step,
+      &&L_Step, &&L_Step, &&L_Step, &&L_Step, &&L_Step, &&L_Step,
+      &&L_Step, &&L_Step, &&L_Step, &&L_Step, &&L_Step, &&L_Step,
+      &&L_Step, &&L_Step, &&L_Step, &&L_Step, &&L_Step, &&L_Step,
+      &&L_Step, &&L_Step, &&L_Step, &&L_Step, &&L_Step, &&L_Step,
+  };
+  static_assert(sizeof(StepTable) / sizeof(StepTable[0]) == BcNumOps,
+                "stepping table out of sync with BcOp");
+  const void *const *Dispatch = JumpTable;
+#define BC_DISPATCH() goto *Dispatch[static_cast<uint8_t>(Ip->Op)]
+#define BC_ACTION() goto *JumpTable[static_cast<uint8_t>(Ip->Op)]
+#define BC_SET_FAST() (Dispatch = JumpTable)
+#define BC_SET_STEPPING() (Dispatch = StepTable)
+#define BC_STEPPING() (Dispatch == StepTable)
 #else
   // Portable fallback: a switch that fans out to the same function-scope
-  // labels the computed-goto build uses.
+  // labels the computed-goto build uses, behind the same mode test.
+  bool Stepping = false;
 #define BC_DISPATCH() goto DispatchTop
+#define BC_ACTION() goto ActionTop
+#define BC_SET_FAST() (Stepping = false)
+#define BC_SET_STEPPING() (Stepping = true)
+#define BC_STEPPING() Stepping
+#endif
+
+  // Region entry, inlined into every instruction that enters one: one add
+  // and one compare charge the region's whole summary unless it would
+  // reach the next budget-trap or deadline-poll threshold, in which case
+  // the region runs in stepping mode.  NodeMix and the node cost in
+  // Cycles follow from the entry count (foldRegionCounts).
+#define BC_ENTER(RegionV, IpV)                                                 \
+  do {                                                                         \
+    Region = (RegionV);                                                        \
+    Ip = (IpV);                                                                \
+    const uint64_t Nodes = Stats.NodesEvaluated + Regions[Region].Nodes;       \
+    if (BC_UNLIKELY(Nodes >= ChargeLimit))                                     \
+      goto EnterStepping;                                                      \
+    Stats.NodesEvaluated = Nodes;                                              \
+    ++Hits[Region];                                                            \
+    BC_SET_FAST();                                                             \
+    BC_DISPATCH();                                                             \
+  } while (0)
+
+  // A trap raised by the instruction at Ip.  On the fast path its region
+  // was charged whole, so the part after Ip is given back first.
+#define BC_TRAP()                                                              \
+  do {                                                                         \
+    if (!BC_STEPPING())                                                        \
+      giveBack(Fn, static_cast<uint32_t>(Ip - Code));                          \
+    return Value::nil();                                                       \
+  } while (0)
+
+  BC_ENTER(0, Code);
+
+#if !(defined(__GNUC__) || defined(__clang__))
 DispatchTop:
+  if (Stepping)
+    goto L_Step;
+ActionTop:
   switch (Ip->Op) {
   case BcOp::LoadInt:
     goto L_LoadInt;
@@ -666,8 +742,6 @@ DispatchTop:
     goto L_LoadVarCell;
   case BcOp::LoadVarCapture:
     goto L_LoadVarCapture;
-  case BcOp::Charge:
-    goto L_Charge;
   case BcOp::Move:
     goto L_Move;
   case BcOp::LoadNilRaw:
@@ -718,11 +792,44 @@ DispatchTop:
   return Value::nil(); // unreachable: the switch covers every opcode
 #endif
 
-  // ---- Charged, fused leaves ----
+  // ---- Stepping mode (cold) ----
+
+EnterStepping: {
+  const BcChargeRegion &Rg = Regions[Region];
+  StepCharge = Rg.FirstCharge;
+  StepEnd = Rg.FirstCharge + Rg.Nodes;
+  BC_SET_STEPPING();
+  BC_DISPATCH();
+}
+
+L_Step: {
+  // Exactly the AST walker's chargeNode() for each charge point before
+  // this instruction, in order; the node cost joins Cycles at the fold.
+  ++InsnsDispatched;
+  const uint32_t Pc = static_cast<uint32_t>(Ip - Code);
+  for (; StepCharge != StepEnd && Charges[StepCharge].Pc == Pc; ++StepCharge) {
+    const BcCharge &Ch = Charges[StepCharge];
+    const uint64_t Nodes = ++Stats.NodesEvaluated;
+    if (Nodes > MaxNodes) {
+      failNodeBudget(C, Ch.Loc);
+      return Value::nil();
+    }
+    if ((Nodes & DeadlineCheckMask) == 0) {
+      if (Cancel && Cancel->stopRequested()) {
+        failDeadline(C, Ch.Loc);
+        return Value::nil();
+      }
+      ChargeLimit = nextChargeLimit(Nodes);
+    }
+    ++Stats.NodeMix[static_cast<size_t>(Ch.Kind)];
+  }
+  BC_ACTION();
+}
+
+  // ---- Charged leaves ----
 
 L_LoadInt: {
   const Insn &I = *Ip;
-  BC_CHARGE(Expr::Kind::IntLit);
   R[I.A] = Value::ofInt(I.K ? static_cast<int64_t>(static_cast<int32_t>(I.D))
                             : Fn.IntPool[I.D]);
   ++Ip;
@@ -731,7 +838,6 @@ L_LoadInt: {
 
 L_LoadBool: {
   const Insn &I = *Ip;
-  BC_CHARGE(Expr::Kind::BoolLit);
   R[I.A] = Value::ofBool(I.K != 0);
   ++Ip;
   BC_DISPATCH();
@@ -739,15 +845,14 @@ L_LoadBool: {
 
 L_LoadStr: {
   const Insn &I = *Ip;
-  BC_CHARGE(Expr::Kind::StrLit);
   if (!heapHasRoom()) {
     failHeapLimit(C, Locs[Ip - Code]);
-    return Value::nil();
+    BC_TRAP();
   }
   if (uint64_t N = membudget::stringBytes(Fn.StrPool[I.D]->size());
       !heapBytesOk(N)) {
     failMemoryBudget(C, Locs[Ip - Code], N);
-    return Value::nil();
+    BC_TRAP();
   }
   R[I.A] = Value::ofObj(TheHeap.newString(*Fn.StrPool[I.D]));
   ++Ip;
@@ -755,16 +860,13 @@ L_LoadStr: {
 }
 
 L_LoadNil: {
-  const Insn &I = *Ip;
-  BC_CHARGE(Expr::Kind::NilLit);
-  R[I.A] = Value::nil();
+  R[Ip->A] = Value::nil();
   ++Ip;
   BC_DISPATCH();
 }
 
 L_LoadVarSlot: {
   const Insn &I = *Ip;
-  BC_CHARGE(Expr::Kind::VarRef);
   R[I.A] = R[I.B]; // locals live in the same array as the temps
   ++Ip;
   BC_DISPATCH();
@@ -772,7 +874,6 @@ L_LoadVarSlot: {
 
 L_LoadVarCell: {
   const Insn &I = *Ip;
-  BC_CHARGE(Expr::Kind::VarRef);
   assert(F.cell(I.B) && "read of a cell before its let ran");
   R[I.A] = F.cell(I.B)->V;
   ++Ip;
@@ -781,16 +882,7 @@ L_LoadVarCell: {
 
 L_LoadVarCapture: {
   const Insn &I = *Ip;
-  BC_CHARGE(Expr::Kind::VarRef);
   R[I.A] = F.capture(I.B)->V;
-  ++Ip;
-  BC_DISPATCH();
-}
-
-  // ---- Charge marker for composite nodes ----
-
-L_Charge: {
-  BC_CHARGE(static_cast<Expr::Kind>(Ip->K));
   ++Ip;
   BC_DISPATCH();
 }
@@ -844,23 +936,21 @@ L_LetCell: {
   // ---- Raw control flow ----
 
 L_Jump: {
-  Ip = Code + Ip->D;
-  BC_DISPATCH();
+  BC_ENTER(bcBranchRegion(*Ip), Code + Ip->D);
 }
 
 L_CondBranch: {
   const Insn &I = *Ip;
-  if (!R[I.A].isBool()) {
+  const Value &Cond = R[I.A];
+  if (!Cond.isBool()) {
     fail(C, TrapKind::TypeError, Locs[Ip - Code],
          I.K ? "while condition is not a boolean"
              : "if condition is not a boolean");
-    return Value::nil();
+    return Value::nil(); // ends its region: nothing to give back
   }
-  if (R[I.A].asBool())
-    ++Ip;
-  else
-    Ip = Code + I.D;
-  BC_DISPATCH();
+  if (Cond.asBool())
+    BC_ENTER(bcBranchRegion(I) + 1, Ip + 1);
+  BC_ENTER(bcBranchRegion(I), Code + I.D);
 }
 
 L_StackCheck: {
@@ -869,7 +959,7 @@ L_StackCheck: {
   // trap) so resource behavior stays identical.
   if (nativeStackLow()) {
     failNativeStack(C, Locs[Ip - Code]);
-    return Value::nil();
+    BC_TRAP();
   }
   ++Ip;
   BC_DISPATCH();
@@ -879,37 +969,52 @@ L_StackCheck: {
 
 L_CallDyn: {
   const Insn &I = *Ip;
-  CallVal = callDyn(Fn.Sites[I.D], R + I.B, I.C, C);
+  const BcSite &Site = Fn.Sites[I.D];
+  CallVal = callDyn(Site, R + I.B, I.C, C);
+  Cont = Site.Cont;
   goto HandleCall;
 }
 
 L_CallStatic: {
   const Insn &I = *Ip;
-  CallVal = callStatic(Fn.Sites[I.D], R + I.B, I.C, C);
+  const BcSite &Site = Fn.Sites[I.D];
+  CallVal = callStatic(Site, R + I.B, I.C, C);
+  Cont = Site.Cont;
   goto HandleCall;
 }
 
 L_CallSelect: {
   const Insn &I = *Ip;
-  CallVal = callSelect(Fn.Sites[I.D], R + I.B, I.C, C);
+  const BcSite &Site = Fn.Sites[I.D];
+  CallVal = callSelect(Site, R + I.B, I.C, C);
+  Cont = Site.Cont;
   goto HandleCall;
 }
 
 L_CallPrim: {
+  // Primitives run no charged code, so the region goes on.
   const Insn &I = *Ip;
   CallVal = callPrim(Fn.Sites[I.D], R + I.B, I.C, C);
-  goto HandleCall;
+  if (BC_UNLIKELY(C.active()))
+    BC_TRAP();
+  R[I.A] = CallVal;
+  ++Ip;
+  BC_DISPATCH();
 }
 
 L_CallPred: {
   const Insn &I = *Ip;
-  CallVal = callPred(Fn.Sites[I.D], R + I.B, I.C, C);
+  const BcSite &Site = Fn.Sites[I.D];
+  CallVal = callPred(Site, R + I.B, I.C, C);
+  Cont = Site.Cont;
   goto HandleCall;
 }
 
 L_CallFeedback: {
   const Insn &I = *Ip;
-  CallVal = callFeedback(Fn.Sites[I.D], R + I.B, I.C, C);
+  const BcSite &Site = Fn.Sites[I.D];
+  CallVal = callFeedback(Site, R + I.B, I.C, C);
+  Cont = Site.Cont;
   goto HandleCall;
 }
 
@@ -918,10 +1023,13 @@ L_CallClosure: {
   // Callee passed by value: the register may be clobbered by the callee's
   // result landing in I.A == I.B.
   CallVal = callClosureValue(R[I.B], R + I.B + 1, I.C, Locs[Ip - Code], C);
+  Cont = I.D;
   goto HandleCall;
 }
 
 HandleCall: {
+  // Calls end their region, so a trap inside one has nothing to give
+  // back.
   if (C.active()) {
     if (C.K == Control::Kind::Return) {
       if (C.Activation == CurrentHome) {
@@ -930,8 +1038,8 @@ HandleCall: {
         // catches the boundary (the bytecode analogue of the nearest
         // enclosing InlinedExpr catch).
         const uint32_t Pc = static_cast<uint32_t>(Ip - Code);
-        const BcRegion *Best = nullptr;
-        for (const BcRegion &Rg : Fn.Regions) {
+        const BcInlinedRegion *Best = nullptr;
+        for (const BcInlinedRegion &Rg : Fn.InlinedRegions) {
           if (Rg.Boundary != C.Boundary || Pc < Rg.Start || Pc >= Rg.End)
             continue;
           if (!Best || Rg.End - Rg.Start < Best->End - Best->Start)
@@ -940,8 +1048,7 @@ HandleCall: {
         if (Best) {
           R[Best->Dst] = C.Val;
           C = Control();
-          Ip = Code + Best->End;
-          BC_DISPATCH();
+          BC_ENTER(Best->Landing, Code + Best->End);
         }
       }
       // Methods catch boundary-0 returns of their own activation (the
@@ -955,24 +1062,22 @@ HandleCall: {
     return Value::nil(); // propagate Return/Error to the caller
   }
   R[Ip->A] = CallVal;
-  ++Ip;
-  BC_DISPATCH();
+  BC_ENTER(Cont, Ip + 1);
 }
 
   // ---- Objects and closures ----
 
 L_MakeClosure: {
   const Insn &I = *Ip;
-  BC_CHARGE(Expr::Kind::ClosureLit);
   if (!heapHasRoom()) {
     failHeapLimit(C, Locs[Ip - Code]);
-    return Value::nil();
+    BC_TRAP();
   }
   const BcClosureRef &Ref = Fn.Closures[I.D];
   if (uint64_t N = membudget::closureBytes(Ref.Lit->Captures.size());
       !heapBytesOk(N)) {
     failMemoryBudget(C, Locs[Ip - Code], N);
-    return Value::nil();
+    BC_TRAP();
   }
   ++Stats.ClosuresCreated;
   Stats.Cycles += Costs.ClosureCreateCost;
@@ -991,16 +1096,15 @@ L_MakeClosure: {
 
 L_NewObj: {
   const Insn &I = *Ip;
-  BC_CHARGE(Expr::Kind::New);
   if (!heapHasRoom()) {
     failHeapLimit(C, Locs[Ip - Code]);
-    return Value::nil();
+    BC_TRAP();
   }
   const BcNewSite &NS = Fn.NewSites[I.D];
   if (uint64_t N = membudget::instanceBytes(NS.LayoutSize);
       !heapBytesOk(N)) {
     failMemoryBudget(C, Locs[Ip - Code], N);
-    return Value::nil();
+    BC_TRAP();
   }
   ++Stats.Allocations;
   Stats.Cycles += Costs.AllocCost + NS.LayoutSize;
@@ -1026,7 +1130,7 @@ L_GetSlot: {
     fail(C, TrapKind::TypeError, Locs[Ip - Code],
          "slot access '" + P.Syms.name(SS.Name) +
              "' on a non-instance value");
-    return Value::nil();
+    BC_TRAP();
   }
   Obj *O = ObjV.asObject();
   int Idx;
@@ -1036,7 +1140,7 @@ L_GetSlot: {
     Idx = P.Classes.slotIndex(O->getClass(), SS.Name);
     if (Idx < 0) {
       failNoSlot(C, Locs[Ip - Code], O->getClass(), SS.Name);
-      return Value::nil();
+      BC_TRAP();
     }
     SC.CachedClass = O->getClass();
     SC.CachedIndex = Idx;
@@ -1056,7 +1160,7 @@ L_SetSlot: {
       ObjV.asObject()->payload() != Obj::Payload::Instance) {
     fail(C, TrapKind::TypeError, Locs[Ip - Code],
          "slot assignment on a non-instance value");
-    return Value::nil();
+    BC_TRAP();
   }
   Obj *O = ObjV.asObject();
   int Idx;
@@ -1066,7 +1170,7 @@ L_SetSlot: {
     Idx = P.Classes.slotIndex(O->getClass(), SS.Name);
     if (Idx < 0) {
       failNoSlot(C, Locs[Ip - Code], O->getClass(), SS.Name);
-      return Value::nil();
+      BC_TRAP();
     }
     SC.CachedClass = O->getClass();
     SC.CachedIndex = Idx;
@@ -1093,8 +1197,13 @@ L_RetNonLocal: {
   return Value::nil();
 }
 
+#undef BC_TRAP
+#undef BC_ENTER
+#undef BC_STEPPING
+#undef BC_SET_STEPPING
+#undef BC_SET_FAST
+#undef BC_ACTION
 #undef BC_DISPATCH
-#undef BC_CHARGE
 #undef BC_UNLIKELY
 }
 
@@ -1326,8 +1435,10 @@ Value BytecodeInterpreter::callGeneric(const std::string &Name,
   }
 
   Control C;
+  ChargeLimit = nextChargeLimit(Stats.NodesEvaluated);
   Value Result = bcInvokeMethod(Target, CP.selectVersion(Target, Classes),
                                 Args.data(), Args.size(), SourceLoc(), C);
+  foldRegionCounts();
   if (C.K == Control::Kind::Error)
     return Value::nil();
   if (C.K == Control::Kind::Return) {

@@ -11,10 +11,15 @@
 /// tier without caring which one runs.  The dispatch loop is computed
 /// goto under GCC/Clang and a switch elsewhere; Frame/FramePool, the
 /// Dispatcher (as the inline caches' miss path), resource guards, the
-/// deadline poll and the cost model are shared with the AST tier, and the
-/// charged instruction stream reproduces the AST walker's accounting
-/// exactly — RunStats are bit-identical across tiers by construction,
-/// which tests/BytecodeTests.cpp enforces differentially.
+/// deadline poll and the cost model are shared with the AST tier.  The AST
+/// walker charges every node as it goes; this tier charges a whole charge
+/// region when it enters one (an add and a compare against the next node
+/// budget or deadline-poll threshold), steps through the region's charge
+/// points one by one only when that threshold falls inside it, and gives
+/// back the unreached points when an instruction traps mid-region.
+/// NodeMix and the node share of Cycles are folded in from per-region
+/// entry counts when callGeneric returns, so RunStats are bit-identical
+/// across tiers, which tests/BytecodeTests.cpp enforces differentially.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +46,7 @@ public:
                       RunOptions Opts = {}, CostModel Costs = {});
 
   /// Publishes the accumulated RunStats (`interp.*`, summed with the AST
-  /// tier's) and the IC counters (`bytecode.*`).
+  /// tier's), the IC counters and `bytecode.insns_dispatched`.
   ~BytecodeInterpreter();
 
   bool callMain(int64_t Arg);
@@ -60,6 +65,9 @@ public:
   uint64_t icHits() const { return IcHits; }
   uint64_t icMisses() const { return IcMisses; }
   uint64_t icMisdispatches() const { return IcMisdispatches; }
+  /// Bytecode instructions dispatched so far (deterministic: derived from
+  /// region entries, not counted per instruction).
+  uint64_t insnsDispatched() const { return InsnsDispatched; }
 
 private:
   struct Control {
@@ -144,6 +152,23 @@ private:
   /// Same sampled poll cadence as the AST tier (RunStats-identical).
   static constexpr uint64_t DeadlineCheckMask = 8191;
 
+  /// The smallest node count past \p Nodes at which a charge traps or
+  /// polls the deadline: a region whose summary reaches it is stepped.
+  uint64_t nextChargeLimit(uint64_t Nodes) const {
+    const uint64_t Budget = Opts.Limits.MaxNodes == UINT64_MAX
+                                ? UINT64_MAX
+                                : Opts.Limits.MaxNodes + 1;
+    const uint64_t Poll = (Nodes & ~DeadlineCheckMask) + DeadlineCheckMask + 1;
+    return Budget < Poll ? Budget : Poll;
+  }
+  /// Undoes the part of \p Pc's region after \p Pc, charged at region
+  /// entry but not reached because \p Pc trapped.
+  [[gnu::cold]] [[gnu::noinline]] void giveBack(const BcFunction &Fn,
+                                                uint32_t Pc);
+  /// Adds the region entry counts into NodeMix and InsnsDispatched, and
+  /// the node cost of every node charged since the last fold into Cycles.
+  void foldRegionCounts();
+
   bool nativeStackLow() const {
     char Probe;
     uintptr_t Here = reinterpret_cast<uintptr_t>(&Probe);
@@ -186,6 +211,15 @@ private:
   size_t StackBudget;
   uint64_t CurrentHome = 0;
   std::vector<MethodId> CallStack;
+  /// Per-thread entry counts of fast-path (summary-charged) region passes,
+  /// indexed BcFunction::RegionBase + region; zeroed by each fold.
+  std::vector<uint64_t> RegionHits;
+  /// nextChargeLimit(Stats.NodesEvaluated), kept current by the stepping
+  /// path; shared by every activation since the node count is.
+  uint64_t ChargeLimit = 0;
+  /// Stats.NodesEvaluated at the last fold (Cycles owes the rest).
+  uint64_t NodesFolded = 0;
+  uint64_t InsnsDispatched = 0;
   /// Inline-cache observability (published as `bytecode.*` counters).
   uint64_t IcHits = 0;
   uint64_t IcMisses = 0;

@@ -8,6 +8,7 @@
 
 #include "hierarchy/Program.h"
 
+#include <algorithm>
 #include <iomanip>
 #include <ostream>
 
@@ -29,8 +30,6 @@ const char *selspec::bcOpName(BcOp Op) {
     return "LoadVarCell";
   case BcOp::LoadVarCapture:
     return "LoadVarCapture";
-  case BcOp::Charge:
-    return "Charge";
   case BcOp::Move:
     return "Move";
   case BcOp::LoadNilRaw:
@@ -132,9 +131,6 @@ void printInsn(const BcFunction &Fn, uint32_t Pc, std::ostream &OS) {
   case BcOp::LoadVarCapture:
     OS << " r" << I.A << " <- capture[" << I.B << ']';
     break;
-  case BcOp::Charge:
-    OS << " kind=" << exprKindName(static_cast<Expr::Kind>(I.K));
-    break;
   case BcOp::StoreSlot:
     OS << " r" << I.B << " <- r" << I.A;
     break;
@@ -148,10 +144,11 @@ void printInsn(const BcFunction &Fn, uint32_t Pc, std::ostream &OS) {
     OS << " cell[" << I.B << "] <- fresh(r" << I.A << ')';
     break;
   case BcOp::Jump:
-    OS << " -> " << I.D;
+    OS << " -> " << I.D << " (region " << bcBranchRegion(I) << ')';
     break;
   case BcOp::CondBranch:
-    OS << " r" << I.A << "? fallthrough : " << I.D << "  ("
+    OS << " r" << I.A << "? fallthrough (region " << bcBranchRegion(I) + 1
+       << ") : " << I.D << " (region " << bcBranchRegion(I) << ")  ("
        << (I.K ? "while" : "if") << ')';
     break;
   case BcOp::StackCheck:
@@ -164,10 +161,12 @@ void printInsn(const BcFunction &Fn, uint32_t Pc, std::ostream &OS) {
   case BcOp::CallFeedback:
     OS << " r" << I.A << " <- site[" << I.D << "](r" << I.B << "..r"
        << (I.B + (I.C ? I.C - 1 : 0)) << ") argc=" << I.C;
+    if (bcEndsRegion(I.Op))
+      OS << " -> region " << Fn.Sites[I.D].Cont;
     break;
   case BcOp::CallClosure:
     OS << " r" << I.A << " <- r" << I.B << "(r" << (I.B + 1) << "..r"
-       << (I.B + I.C) << ") argc=" << I.C;
+       << (I.B + I.C) << ") argc=" << I.C << " -> region " << I.D;
     break;
   case BcOp::MakeClosure:
     OS << " r" << I.A << " <- closure[" << I.D << ']';
@@ -193,6 +192,30 @@ void printInsn(const BcFunction &Fn, uint32_t Pc, std::ostream &OS) {
     break;
   }
   OS << '\n';
+}
+
+/// "region 2: 5 nodes [Seq If Send VarRef×2]": the region's number, node
+/// count and charge kinds in order of first appearance.
+void printRegionHead(const BcFunction &Fn, uint32_t Region, std::ostream &OS) {
+  const BcChargeRegion &Rg = Fn.ChargeRegions[Region];
+  std::vector<std::pair<Expr::Kind, uint32_t>> Mix;
+  for (uint32_t I = 0; I != Rg.Nodes; ++I) {
+    Expr::Kind K = Fn.Charges[Rg.FirstCharge + I].Kind;
+    auto It = std::find_if(Mix.begin(), Mix.end(),
+                           [K](const auto &E) { return E.first == K; });
+    if (It == Mix.end())
+      Mix.emplace_back(K, 1);
+    else
+      ++It->second;
+  }
+  OS << "  region " << Region << ": " << Rg.Nodes
+     << (Rg.Nodes == 1 ? " node [" : " nodes [");
+  for (size_t I = 0; I != Mix.size(); ++I) {
+    OS << (I ? " " : "") << exprKindName(Mix[I].first);
+    if (Mix[I].second > 1)
+      OS << "\u00d7" << Mix[I].second;
+  }
+  OS << "]\n";
 }
 
 void printSite(const BcSite &Site, size_t Idx, const Program &P,
@@ -221,8 +244,22 @@ void selspec::disassemble(const BcFunction &Fn, const Program &P,
      << "  params: " << Fn.Layout.Params.size() << '\n'
      << "  code (" << Fn.Code.size() << " insns, "
      << Fn.Code.size() * sizeof(Insn) << " bytes):\n";
-  for (uint32_t Pc = 0; Pc != Fn.Code.size(); ++Pc)
+  // Region heads in pc order (a pc can head several regions: a loop head
+  // and the region that falls into it with the While's own charge).
+  std::vector<uint32_t> Heads(Fn.ChargeRegions.size());
+  for (uint32_t R = 0; R != Heads.size(); ++R)
+    Heads[R] = R;
+  std::stable_sort(Heads.begin(), Heads.end(), [&](uint32_t A, uint32_t B) {
+    return Fn.ChargeRegions[A].Start < Fn.ChargeRegions[B].Start;
+  });
+  size_t NextHead = 0;
+  for (uint32_t Pc = 0; Pc != Fn.Code.size(); ++Pc) {
+    for (; NextHead != Heads.size() &&
+           Fn.ChargeRegions[Heads[NextHead]].Start == Pc;
+         ++NextHead)
+      printRegionHead(Fn, Heads[NextHead], OS);
     printInsn(Fn, Pc, OS);
+  }
   if (!Fn.Sites.empty()) {
     OS << "  sites:\n";
     for (size_t I = 0; I != Fn.Sites.size(); ++I)
@@ -236,12 +273,13 @@ void selspec::disassemble(const BcFunction &Fn, const Program &P,
          << "' cache-slot=" << SS.CacheSlot << '\n';
     }
   }
-  if (!Fn.Regions.empty()) {
+  if (!Fn.InlinedRegions.empty()) {
     OS << "  inlined regions:\n";
-    for (size_t I = 0; I != Fn.Regions.size(); ++I) {
-      const BcRegion &Rg = Fn.Regions[I];
+    for (size_t I = 0; I != Fn.InlinedRegions.size(); ++I) {
+      const BcInlinedRegion &Rg = Fn.InlinedRegions[I];
       OS << "    [" << I << "] pc " << Rg.Start << ".." << Rg.End
-         << " boundary=" << Rg.Boundary << " dst=r" << Rg.Dst << '\n';
+         << " boundary=" << Rg.Boundary << " dst=r" << Rg.Dst
+         << " landing=region " << Rg.Landing << '\n';
     }
   }
 }

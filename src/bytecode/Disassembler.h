@@ -7,8 +7,10 @@
 /// \file
 /// Human-readable listing of a BcModule (`micac --dump-bytecode`): per
 /// function, the augmented frame layout, each instruction's opcode and
-/// operands, and the side-table annotations — send-site binding kinds and
-/// live inline-cache state, cached slot indices, new-site layouts.
+/// operands under the head of every charge region starting there (its
+/// node count and kind mix), and the side-table annotations — send-site
+/// binding kinds and inline-cache slots, slot-cache slots, inlined
+/// regions.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -110,6 +110,8 @@ CompiledSnapshot::run(int64_t Input, const JobOptions &Opts) const {
       J.MetricsDelta.emplace_back("bytecode.ic_misses", I.icMisses());
       J.MetricsDelta.emplace_back("bytecode.ic_misdispatch",
                                   I.icMisdispatches());
+      J.MetricsDelta.emplace_back("bytecode.insns_dispatched",
+                                  I.insnsDispatched());
     }
   } else {
     Interpreter I(*CP, RO, Opts.Costs);

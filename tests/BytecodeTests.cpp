@@ -10,9 +10,13 @@
 // same CompiledProgram.  Exercised over the four paper benchmarks under all
 // five configurations, and over targeted edge cases the bytecode compiler
 // must get right: deep closure nesting, wide-arity calls past the IC limit,
-// traps unwinding out of inlined callees, and non-local returns (caught and
-// escaped).  Also covers the disassembler and the tier plumbing in the
-// driver pipeline.
+// traps unwinding out of inlined callees, non-local returns (caught and
+// escaped), and operands read in place from frame slots.  Region charging
+// gets trap-position sweeps: node budgets landing on every charge point of
+// a small program and of richards, a deadline poll triggered from inside
+// the program, and traps raised in the middle of a charged region.  Also
+// covers the dispatched-instruction counter, the disassembler and the tier
+// plumbing in the driver pipeline.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +25,7 @@
 #include "bytecode/Disassembler.h"
 
 #include "TestUtil.h"
+#include "support/Deadline.h"
 #include "support/Metrics.h"
 
 #include <gtest/gtest.h>
@@ -70,6 +75,46 @@ TierRun runBytecodeTier(CompiledProgram &CP, BcModule &Mod, int64_t Input,
   Opts.Limits = Limits;
   BytecodeInterpreter I(CP, Mod, Opts);
   return finish(I, I.callMain(Input), Out);
+}
+
+/// A string stream whose every write asks \p Token to stop, so a program
+/// that prints traps DeadlineExceeded at the next sampled deadline poll.
+class CancellingBuf : public std::stringbuf {
+public:
+  explicit CancellingBuf(CancelToken &Token) : Token(Token) {}
+
+protected:
+  std::streamsize xsputn(const char *S, std::streamsize N) override {
+    Token.requestCancel();
+    return std::stringbuf::xsputn(S, N);
+  }
+  int_type overflow(int_type C) override {
+    Token.requestCancel();
+    return std::stringbuf::overflow(C);
+  }
+
+private:
+  CancelToken &Token;
+};
+
+/// Runs main(Input) on one tier with output to a CancellingBuf.
+template <class InterpT, class... ExtraT>
+TierRun runCancelledOnPrint(CompiledProgram &CP, int64_t Input,
+                            ExtraT &...Extra) {
+  CancelToken Token;
+  CancellingBuf Buf(Token);
+  std::ostream Out(&Buf);
+  RunOptions Opts;
+  Opts.Output = &Out;
+  Opts.Cancel = &Token;
+  InterpT I(CP, Extra..., Opts);
+  TierRun R;
+  R.Ok = I.callMain(Input);
+  R.Stats = I.stats();
+  R.Output = Buf.str();
+  R.Trap = I.trap().Kind;
+  R.Error = I.errorMessage();
+  return R;
 }
 
 /// Asserts every RunStats field matches, NodeMix bucket by bucket.
@@ -137,6 +182,21 @@ void expectTiersAgree(const std::vector<std::string> &Sources, int64_t Input,
     TierRun Ast = runAstTier(*CP, Input, Limits);
     TierRun Bc = runBytecodeTier(*CP, Mod, Input, Limits);
     expectSameRun(Ast, Bc, std::string("config ") + configName(C));
+  }
+}
+
+/// Runs \p CP on both tiers once per node budget in [First, First + Count),
+/// asserting identical results; stops at the first divergence.
+void sweepBudgets(CompiledProgram &CP, BcModule &Mod, int64_t Input,
+                  uint64_t First, uint64_t Count, const std::string &Label) {
+  for (uint64_t Budget = First; Budget != First + Count; ++Budget) {
+    ResourceLimits Limits;
+    Limits.MaxNodes = Budget;
+    TierRun Ast = runAstTier(CP, Input, Limits);
+    TierRun Bc = runBytecodeTier(CP, Mod, Input, Limits);
+    expectSameRun(Ast, Bc, Label + " max-nodes=" + std::to_string(Budget));
+    if (::testing::Test::HasFailure())
+      return;
   }
 }
 
@@ -317,6 +377,27 @@ TEST(BytecodeDifferential, NotUnderstoodTrap) {
                    0);
 }
 
+TEST(BytecodeDifferential, OperandAliasing) {
+  // Operands read in place from frame slots must still see the value the
+  // AST walker read, before a later sibling reassigns the slot.
+  expectTiersAgree({R"(
+    class Box { slot v; }
+    method f(a@Int, b@Int) { a * 10 + b; }
+    method main(n@Int) {
+      let x := n;
+      print(f(x, x := 5));
+      print(x + (x := x + 1));
+      let p := new Box { v := 1 };
+      let q := new Box { v := 2 };
+      let first := p;
+      p.v := (p := q);
+      print(first.v.v);
+      print(p.v);
+      print(f(x, x));
+    })"},
+                   3);
+}
+
 //===----------------------------------------------------------------------===//
 // Resource guards: every limit must trap at the identical charged node.
 //===----------------------------------------------------------------------===//
@@ -351,6 +432,206 @@ TEST(BytecodeDifferential, HeapLimitTrap) {
       while (i < 1000) { new Node { next := nil }; i := i + 1; }
     })"},
                    0, Limits);
+}
+
+//===----------------------------------------------------------------------===//
+// Trap positions under region charging: budgets, deadline polls and traps
+// in the middle of a region.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A small program with loops, calls, an inlinable callee, slot traffic,
+/// a closure and both arms of an if.
+const char *const SweepSource = R"(
+  class P { slot x; slot y; }
+  method step(p@P, k@Int) { p.x := p.x + k; p.y := p.y * 2 - k; p.x + p.y; }
+  method main(n@Int) {
+    let p := new P { x := 1, y := 2 };
+    let i := 0; let acc := 0;
+    let f := fn(v) { v + i; };
+    while (i < n) {
+      acc := acc + step(p, i) + f(i);
+      if (acc > 1000) { acc := acc - 1000; } else { acc := acc + 1; }
+      i := i + 1;
+    }
+    print(acc);
+  })";
+
+} // namespace
+
+TEST(BytecodeTrapPosition, EveryBudgetOnASmallLoop) {
+  // Budgets 1..400 land the budget trap on the first, middle and last
+  // charge point of every region the run passes through.
+  std::unique_ptr<Program> P = buildProgram({SweepSource});
+  ASSERT_TRUE(P);
+  CallGraph CG;
+  {
+    std::unique_ptr<CompiledProgram> BaseCP = compileProgram(*P, Config::Base);
+    RunOptions Opts;
+    Opts.Profile = &CG;
+    Interpreter I(*BaseCP, Opts);
+    ASSERT_TRUE(I.callMain(10));
+  }
+  for (Config C : AllConfigs) {
+    std::unique_ptr<CompiledProgram> CP = compileProgram(*P, C, &CG);
+    ASSERT_TRUE(CP);
+    BcModule Mod = compileToBytecode(*CP);
+    ASSERT_TRUE(Mod.Ok) << Mod.Error;
+    TierRun Full = runAstTier(*CP, 10);
+    ASSERT_TRUE(Full.Ok) << Full.Error;
+    ASSERT_GT(Full.Stats.NodesEvaluated, 400u) << configName(C);
+    sweepBudgets(*CP, Mod, 10, 1, 400, configName(C));
+  }
+}
+
+TEST(BytecodeTrapPosition, ConsecutiveBudgetsInRichards) {
+  // 64 consecutive budgets at an eighth, a quarter and half of the full
+  // run, under every configuration.
+  std::string Err;
+  std::unique_ptr<Workbench> W =
+      Workbench::fromFiles(BenchCases[0].Files, Err);
+  ASSERT_TRUE(W) << Err;
+  const int64_t Input = 3;
+  ASSERT_TRUE(W->collectProfile(Input, Err)) << Err;
+  for (Config C : AllConfigs) {
+    std::unique_ptr<CompiledProgram> CP = W->compileOnly(C);
+    ASSERT_TRUE(CP) << configName(C);
+    BcModule Mod = compileToBytecode(*CP);
+    ASSERT_TRUE(Mod.Ok) << Mod.Error;
+    TierRun Full = runAstTier(*CP, Input);
+    ASSERT_TRUE(Full.Ok) << Full.Error;
+    for (uint64_t Eighths : {1, 2, 4})
+      sweepBudgets(*CP, Mod, Input, Full.Stats.NodesEvaluated * Eighths / 8,
+                   64, std::string("richards/") + configName(C));
+  }
+}
+
+TEST(BytecodeTrapPosition, DeadlinePollTriggeredByTheProgram) {
+  // The print at i == 700 requests cancellation; both tiers must run on
+  // to the same sampled poll and trap there with identical stats.
+  std::unique_ptr<Program> P = buildProgram({R"(
+    method main(n@Int) {
+      let i := 0; let acc := 0;
+      while (i < n) {
+        if (i == 700) { print(i); }
+        acc := acc + i;
+        i := i + 1;
+      }
+      print(acc);
+    })"});
+  ASSERT_TRUE(P);
+  for (Config C : AllConfigs) {
+    std::unique_ptr<CompiledProgram> CP = compileProgram(*P, C);
+    ASSERT_TRUE(CP);
+    BcModule Mod = compileToBytecode(*CP);
+    ASSERT_TRUE(Mod.Ok) << Mod.Error;
+    TierRun Ast = runCancelledOnPrint<Interpreter>(*CP, 100000);
+    TierRun Bc = runCancelledOnPrint<BytecodeInterpreter>(*CP, 100000, Mod);
+    EXPECT_EQ(Ast.Trap, TrapKind::DeadlineExceeded) << configName(C);
+    EXPECT_EQ(Ast.Output, "700\n") << configName(C);
+    EXPECT_EQ(Ast.Stats.NodesEvaluated % 8192, 0u) << configName(C);
+    expectSameRun(Ast, Bc, configName(C));
+  }
+}
+
+TEST(BytecodeTrapPosition, TrapsInTheMiddleOfARegion) {
+  // Each trap fires with charge points of its region still ahead of it
+  // (and, under the inlining configs, inside an inlined callee).
+  expectTiersAgree({R"(
+    class A { slot v; }
+    method get(o) { o.v; }
+    method main(n@Int) { print(get(n) + 1); print(2); })"},
+                   3);
+  expectTiersAgree({R"(
+    method main(n@Int) {
+      let z := n - n;
+      let q := 10 / z;
+      print(q + 1);
+    })"},
+                   3);
+  ResourceLimits Limits;
+  Limits.MaxObjects = 3;
+  expectTiersAgree({R"(
+    class Node { slot next; slot tag; }
+    method main(n@Int) {
+      let i := 0; let last := nil;
+      while (i < n) {
+        last := new Node { next := last, tag := i + 1 };
+        i := i + 1;
+      }
+      print(i);
+    })"},
+                   10, Limits);
+}
+
+//===----------------------------------------------------------------------===//
+// Dispatched-instruction counter.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// main's lowering under CHA (every send an inline primitive):
+///   0 LoadInt  1 StoreSlot  2 LoadNilRaw            let i := 0
+///   3 LoadVarSlot  4 LoadVarSlot  5 CallPrim  6 CondBranch   i < n
+///   7 LoadVarSlot  8 LoadInt  9 CallPrim  10 StoreSlot  11 Jump   body
+///   12 LoadNilRaw  13 CallPrim  14 RetLocal                print(i)
+const char *const CountedSource = R"(
+  method main(n@Int) {
+    let i := 0;
+    while (i < n) { i := i + 1; }
+    print(i);
+  })";
+
+uint64_t countedRun(CompiledProgram &CP, BcModule &Mod, int64_t Input,
+                    const ResourceLimits &Limits = {}) {
+  RunOptions Opts;
+  Opts.Limits = Limits;
+  BytecodeInterpreter I(CP, Mod, Opts);
+  I.callMain(Input);
+  return I.insnsDispatched();
+}
+
+} // namespace
+
+TEST(BytecodeInsnCount, MatchesAHandCountedTrace) {
+  std::unique_ptr<Program> P = buildProgram({CountedSource});
+  ASSERT_TRUE(P);
+  std::unique_ptr<CompiledProgram> CP = compileProgram(*P, Config::CHA);
+  BcModule Mod = compileToBytecode(*CP);
+  ASSERT_TRUE(Mod.Ok) << Mod.Error;
+  // n = 0: pcs 0-6, then 12-14.
+  EXPECT_EQ(countedRun(*CP, Mod, 0), 7u + 3u);
+  // n = 3: pcs 0-6, three times 7-11 and 3-6, then 12-14.
+  EXPECT_EQ(countedRun(*CP, Mod, 3), 7u + 3u * (5u + 4u) + 3u);
+  EXPECT_EQ(countedRun(*CP, Mod, 3), countedRun(*CP, Mod, 3));
+  // n = 5000 runs past four deadline-poll thresholds, so some loop passes
+  // are stepped rather than charged whole: the count must not notice.
+  EXPECT_EQ(countedRun(*CP, Mod, 5000), 7u + 5000u * (5u + 4u) + 3u);
+  // A budget of 20 nodes: the entry region charges 7, the body 5, the loop
+  // head 3, so the second pass through the loop head is stepped and traps
+  // at its first charge point; its first instruction was dispatched.
+  ResourceLimits Limits;
+  Limits.MaxNodes = 20;
+  EXPECT_EQ(countedRun(*CP, Mod, 100, Limits), 7u + 5u + 4u + 5u + 1u);
+}
+
+TEST(BytecodeInsnCount, GivesBackTheRestOfATrappingRegion) {
+  // The GetSlot traps with the LoadInt, CallPrim and the rest of main's
+  // first region still ahead: only instructions up to the trap count.
+  std::unique_ptr<Program> P = buildProgram({R"(
+    class A { slot v; }
+    method main(n@Int) { let o := n; print(o.v + 1); })"});
+  ASSERT_TRUE(P);
+  std::unique_ptr<CompiledProgram> CP = compileProgram(*P, Config::CHA);
+  BcModule Mod = compileToBytecode(*CP);
+  ASSERT_TRUE(Mod.Ok) << Mod.Error;
+  // 0 StoreSlot (let o := n reads n in place)  1 LoadNilRaw  2 GetSlot.
+  RunOptions Opts;
+  BytecodeInterpreter I(*CP, Mod, Opts);
+  EXPECT_FALSE(I.callMain(3));
+  EXPECT_EQ(I.trap().Kind, TrapKind::TypeError);
+  EXPECT_EQ(I.insnsDispatched(), 3u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -467,8 +748,12 @@ TEST(BytecodeModule, DisassemblerListsFunctionsAndSites) {
   EXPECT_NE(Listing.find("main"), std::string::npos);
   EXPECT_NE(Listing.find("get"), std::string::npos);
   EXPECT_NE(Listing.find("CallDyn"), std::string::npos);
-  EXPECT_NE(Listing.find("Charge"), std::string::npos);
   EXPECT_NE(Listing.find("RetLocal"), std::string::npos) << Listing;
+  // Charges appear only as region summaries, never as instructions.
+  EXPECT_EQ(Listing.find("Charge"), std::string::npos) << Listing;
+  EXPECT_NE(Listing.find("region 0: "), std::string::npos) << Listing;
+  EXPECT_NE(Listing.find(" nodes [Seq "), std::string::npos) << Listing;
+  EXPECT_NE(Listing.find("VarRef\u00d7"), std::string::npos) << Listing;
 }
 
 //===----------------------------------------------------------------------===//
@@ -534,5 +819,6 @@ TEST(BytecodeTier, PublishesBytecodeCounters) {
   EXPECT_GT(value("bytecode.code_bytes"), 0);
   EXPECT_GE(value("bytecode.ic_hits"), 0);
   EXPECT_GT(value("bytecode.ic_misses"), 0);
+  EXPECT_GT(value("bytecode.insns_dispatched"), 0);
   EXPECT_GT(value("interp.method_invocations"), 0);
 }

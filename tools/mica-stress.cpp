@@ -25,9 +25,11 @@
 /// the generated program is compiled once under a random configuration and
 /// executed on BOTH tiers (AST walker and register bytecode); result,
 /// trap kind, rendered error, printed output and the full RunStats —
-/// including the NodeMix histogram — must match exactly.  Any divergence
-/// is reported with the iteration seed and fails the invocation (exit 1),
-/// same as a crash.
+/// including the NodeMix histogram — must match exactly.  When the run
+/// completes, both tiers run again under a node budget drawn below the
+/// nodes it evaluated, so the budget trap lands on a random charge point.
+/// Any divergence is reported with the iteration seed (and the drawn
+/// budget) and fails the invocation (exit 1), same as a crash.
 ///
 /// Iterations run in forked, supervised workers (--jobs of them; each
 /// worker executes its share of the iteration list while drawing every
@@ -87,6 +89,7 @@ struct Outcomes {
   uint64_t Iterations = 0;   ///< iterations this worker executed
   uint64_t BcFallbacks = 0;  ///< bytecode compiler could not lower (diff mode)
   uint64_t Mismatches = 0;   ///< tier divergence found (diff mode; fails run)
+  uint64_t BudgetReruns = 0; ///< completed runs rerun under a cut budget
 
   void add(const Outcomes &O) {
     LoadRejects += O.LoadRejects;
@@ -99,6 +102,7 @@ struct Outcomes {
     Iterations += O.Iterations;
     BcFallbacks += O.BcFallbacks;
     Mismatches += O.Mismatches;
+    BudgetReruns += O.BudgetReruns;
   }
 };
 
@@ -291,40 +295,64 @@ void runDifferentialIteration(uint64_t IterSeed, const StressOptions &SO,
     return;
   }
 
-  Mark("run-both");
-  TierResult Ast, Bc;
-  {
-    std::ostringstream Out;
-    RunOptions Opts;
-    Opts.Output = &Out;
-    Opts.Limits = Limits;
-    Interpreter I(*CP, Opts);
-    Ast = runOneTier(I, Input, Out);
-  }
-  {
-    std::ostringstream Out;
-    RunOptions Opts;
-    Opts.Output = &Out;
-    Opts.Limits = Limits;
-    BytecodeInterpreter I(*CP, Mod, Opts);
-    Bc = runOneTier(I, Input, Out);
-  }
-
-  std::string Why;
-  if (!sameTierResult(Ast, Bc, Why)) {
+  // Runs both tiers under \p L; false (after reporting) on divergence.
+  // \p Budget labels a budget rerun (empty for the unlimited run).
+  auto RunBoth = [&](const ResourceLimits &L, TierResult &Ast,
+                     const std::string &Budget) {
+    TierResult Bc;
+    {
+      std::ostringstream Out;
+      RunOptions Opts;
+      Opts.Output = &Out;
+      Opts.Limits = L;
+      Interpreter I(*CP, Opts);
+      Ast = runOneTier(I, Input, Out);
+    }
+    {
+      std::ostringstream Out;
+      RunOptions Opts;
+      Opts.Output = &Out;
+      Opts.Limits = L;
+      BytecodeInterpreter I(*CP, Mod, Opts);
+      Bc = runOneTier(I, Input, Out);
+    }
+    std::string Why;
+    if (sameTierResult(Ast, Bc, Why))
+      return true;
     ++O.Mismatches;
     Mark("MISMATCH:" + Why);
     std::cerr << "mica-stress: tier mismatch at seed " << IterSeed
-              << " config=" << configName(Cfg) << " input=" << Input << ":"
-              << Why << "\n  repro: mica-stress --differential --iter-seed "
-              << IterSeed << '\n';
+              << " config=" << configName(Cfg) << " input=" << Input
+              << (Budget.empty() ? "" : " ") << Budget << ":" << Why
+              << "\n  repro: mica-stress --differential --iter-seed "
+              << IterSeed << (Budget.empty() ? "" : "  # ") << Budget
+              << '\n';
+    return false;
+  };
+
+  Mark("run-both");
+  TierResult Ast;
+  if (!RunBoth(Limits, Ast, ""))
     return;
-  }
   if (Ast.Ok)
     ++O.Completed;
   else
     ++O.RunTraps;
   Mark("agreed");
+
+  // Rerun a completed run under a budget it cannot meet, so the trap
+  // lands on a random charge point of some region.
+  if (!Ast.Ok || Ast.Stats.NodesEvaluated < 2)
+    return;
+  ResourceLimits Cut = Limits;
+  Cut.MaxNodes =
+      1 + R.below(static_cast<uint32_t>(Ast.Stats.NodesEvaluated - 1));
+  const std::string Budget = "max-nodes=" + std::to_string(Cut.MaxNodes);
+  Mark("rerun " + Budget);
+  ++O.BudgetReruns;
+  TierResult CutAst;
+  if (RunBoth(Cut, CutAst, Budget))
+    Mark("agreed");
 }
 
 void runIteration(uint64_t IterSeed, const StressOptions &SO, Outcomes &O) {
@@ -483,7 +511,8 @@ void writeDone(const Outcomes &O) {
               std::to_string(O.Completed) + ' ' +
               std::to_string(O.Iterations) + ' ' +
               std::to_string(O.BcFallbacks) + ' ' +
-              std::to_string(O.Mismatches) + '\n');
+              std::to_string(O.Mismatches) + ' ' +
+              std::to_string(O.BudgetReruns) + '\n');
 }
 
 bool parseDone(const std::string &Text, Outcomes &O) {
@@ -494,7 +523,7 @@ bool parseDone(const std::string &Text, Outcomes &O) {
                            O.RunTraps >> O.ProfileCorruptRejects >>
                            O.ProfileCorruptAccepts >> O.InjectedFailures >>
                            O.Completed >> O.Iterations >> O.BcFallbacks >>
-                           O.Mismatches);
+                           O.Mismatches >> O.BudgetReruns);
 }
 
 std::string readAll(const std::string &Path) {
@@ -649,6 +678,7 @@ int main(int Argc, char **Argv) {
             << "\n  completed runs:      " << Total.Completed << '\n';
   if (SO.Differential)
     std::cout << "  bytecode fallbacks:  " << Total.BcFallbacks
+              << "\n  budget reruns:       " << Total.BudgetReruns
               << "\n  tier mismatches:     " << Total.Mismatches << '\n';
   if (Total.Mismatches)
     std::cerr << "mica-stress: " << Total.Mismatches

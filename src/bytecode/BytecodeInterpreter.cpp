@@ -4,12 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Execution engine for BcModules.  Every semantic decision here is a
-// transcription of the AST Interpreter's (src/interp/Interpreter.cpp):
-// check order, trap messages, cost charges and counter bumps match line
-// for line, because the differential tests require RunStats to be
-// bit-identical between the tiers.  When editing either interpreter,
-// update the other.
+// Execution engine for BcModules.  Everything both tiers must agree on
+// (primitives, traps, allocation and call guards, rendering, the entry
+// path) is RuntimeCore's; what remains here mirrors the AST Interpreter's
+// tree walk (src/interp/Interpreter.cpp) in check order and cost charges,
+// because the differential tests require RunStats to be bit-identical
+// between the tiers.  When editing either tier's walk, update the other.
 //
 // Two pieces of machinery are new.  The per-site inline cache: before
 // falling back to the Dispatcher's PIC/memo lookup, a call instruction
@@ -25,54 +25,13 @@
 
 #include "bytecode/BytecodeInterpreter.h"
 
-#include "support/FailPoint.h"
 #include "support/Metrics.h"
 
 #include <cstdlib>
-#include <ostream>
-#include <sstream>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
 
 using namespace selspec;
 
 namespace {
-/// Same policy as the AST tier (Interpreter.cpp): three quarters of the
-/// soft stack rlimit, capped at 6 MiB.
-size_t nativeStackBudget() {
-  size_t Budget = size_t(6) << 20;
-#if defined(__unix__) || defined(__APPLE__)
-  struct rlimit RL;
-  if (getrlimit(RLIMIT_STACK, &RL) == 0 && RL.rlim_cur != RLIM_INFINITY) {
-    size_t ThreeQuarters = static_cast<size_t>(RL.rlim_cur) / 4 * 3;
-    if (ThreeQuarters < Budget)
-      Budget = ThreeQuarters;
-  }
-#endif
-  return Budget;
-}
-
-// Same counter names as the AST tier: the registry sums duplicates, so
-// `interp.*` reports the union of work done by both tiers.
-metrics::Counter CtrDynamicDispatches("interp.dynamic_dispatches");
-metrics::Counter CtrVersionSelects("interp.version_selects");
-metrics::Counter CtrStaticCalls("interp.static_calls");
-metrics::Counter CtrInlinePrims("interp.inline_prims");
-metrics::Counter CtrPredictedHits("interp.predicted_hits");
-metrics::Counter CtrPredictedMisses("interp.predicted_misses");
-metrics::Counter CtrFeedbackHits("interp.feedback_hits");
-metrics::Counter CtrFeedbackMisses("interp.feedback_misses");
-metrics::Counter CtrClosuresCreated("interp.closures_created");
-metrics::Counter CtrClosureCalls("interp.closure_calls");
-metrics::Counter CtrAllocations("interp.allocations");
-metrics::Counter CtrMethodInvocations("interp.method_invocations");
-metrics::Counter CtrNodesEvaluated("interp.nodes_evaluated");
-metrics::Counter CtrCycles("interp.cycles");
-metrics::Counter CtrBytesAllocated("interp.bytes_allocated");
-metrics::Counter CtrDeadlineExpired("deadline.expired");
-
 metrics::Counter CtrIcHits("bytecode.ic_hits");
 metrics::Counter CtrIcMisses("bytecode.ic_misses");
 metrics::Counter CtrIcMisdispatch("bytecode.ic_misdispatch");
@@ -82,181 +41,18 @@ metrics::Counter CtrInsnsDispatched("bytecode.insns_dispatched");
 BytecodeInterpreter::BytecodeInterpreter(const CompiledProgram &CP,
                                          const BcModule &Mod, RunOptions Opts,
                                          CostModel Costs)
-    : CP(CP), P(CP.program()), Mod(Mod), Opts(Opts), Costs(Costs),
-      Disp(Opts.Tables ? Dispatcher(*Opts.Tables) : Dispatcher(P)),
-      IcTable(Mod.NumIcSlots), SlotCaches(Mod.NumSlotCacheSlots),
-      StackBudget(nativeStackBudget()), RegionHits(Mod.NumChargeRegions) {
+    : RuntimeCore(CP, Opts, Costs), Mod(Mod), IcTable(Mod.NumIcSlots),
+      SlotCaches(Mod.NumSlotCacheSlots), RegionHits(Mod.NumChargeRegions) {
   assert(Mod.Ok && "executing a module that failed to compile");
   const char *Audit = std::getenv("SELSPEC_IC_AUDIT");
   IcAudit = Audit && Audit[0] && !(Audit[0] == '0' && Audit[1] == '\0');
 }
 
 BytecodeInterpreter::~BytecodeInterpreter() {
-  CtrDynamicDispatches.add(Stats.DynamicDispatches);
-  CtrVersionSelects.add(Stats.VersionSelects);
-  CtrStaticCalls.add(Stats.StaticCalls);
-  CtrInlinePrims.add(Stats.InlinePrims);
-  CtrPredictedHits.add(Stats.PredictedHits);
-  CtrPredictedMisses.add(Stats.PredictedMisses);
-  CtrFeedbackHits.add(Stats.FeedbackHits);
-  CtrFeedbackMisses.add(Stats.FeedbackMisses);
-  CtrClosuresCreated.add(Stats.ClosuresCreated);
-  CtrClosureCalls.add(Stats.ClosureCalls);
-  CtrAllocations.add(Stats.Allocations);
-  CtrMethodInvocations.add(Stats.MethodInvocations);
-  CtrNodesEvaluated.add(Stats.NodesEvaluated);
-  CtrCycles.add(Stats.Cycles);
-  CtrBytesAllocated.add(TheHeap.bytesAllocated());
   CtrIcHits.add(IcHits);
   CtrIcMisses.add(IcMisses);
   CtrIcMisdispatch.add(IcMisdispatches);
   CtrInsnsDispatched.add(InsnsDispatched);
-}
-
-std::string BytecodeInterpreter::valueToString(const Value &V) const {
-  switch (V.kind()) {
-  case Value::Kind::Nil:
-    return "nil";
-  case Value::Kind::Int:
-    return std::to_string(V.asInt());
-  case Value::Kind::Bool:
-    return V.asBool() ? "true" : "false";
-  case Value::Kind::Object: {
-    const Obj *O = V.asObject();
-    switch (O->payload()) {
-    case Obj::Payload::Str:
-      return O->Str;
-    case Obj::Payload::Array: {
-      std::ostringstream OS;
-      OS << '[';
-      for (size_t I = 0; I != O->Slots.size(); ++I) {
-        if (I)
-          OS << ", ";
-        OS << valueToString(O->Slots[I]);
-      }
-      OS << ']';
-      return OS.str();
-    }
-    case Obj::Payload::Closure:
-      return "<closure>";
-    case Obj::Payload::Instance:
-      return "<" + P.Syms.name(P.Classes.info(O->getClass()).Name) + ">";
-    }
-  }
-  }
-  return "?";
-}
-
-Value BytecodeInterpreter::fail(Control &C, TrapKind Kind, SourceLoc Loc,
-                                std::string Message) {
-  // First failure wins; anything signaled while already unwinding an
-  // error is dropped.
-  if (C.K != Control::Kind::Error) {
-    C.K = Control::Kind::Error;
-    Trap.reset();
-    Trap.Kind = Kind;
-    Trap.Loc = Loc;
-    Trap.Message = std::move(Message);
-    for (auto It = CallStack.rbegin(); It != CallStack.rend(); ++It) {
-      if (Trap.Backtrace.size() == RuntimeTrap::MaxBacktraceFrames) {
-        Trap.FramesElided =
-            CallStack.size() - RuntimeTrap::MaxBacktraceFrames;
-        break;
-      }
-      Trap.Backtrace.push_back(P.methodLabel(*It));
-    }
-    Error = Trap.render();
-  }
-  return Value::nil();
-}
-
-void BytecodeInterpreter::failTop(TrapKind Kind, std::string Message) {
-  Trap.reset();
-  Trap.Kind = Kind;
-  Trap.Message = std::move(Message);
-  Error = Trap.render();
-}
-
-Value BytecodeInterpreter::failPrimType(Control &C, PrimOp Op, SourceLoc Loc,
-                                        const char *Expected) {
-  return fail(C, TrapKind::TypeError, Loc,
-              std::string("primitive '") + primOpName(Op) + "' expects " +
-                  Expected);
-}
-
-Value BytecodeInterpreter::failBounds(Control &C, SourceLoc Loc,
-                                      int64_t Index, size_t Size) {
-  return fail(C, TrapKind::IndexOutOfBounds, Loc,
-              "array index " + std::to_string(Index) +
-                  " out of bounds (size " + std::to_string(Size) + ")");
-}
-
-Value BytecodeInterpreter::failNoSlot(Control &C, SourceLoc Loc, ClassId Cls,
-                                      Symbol SlotName) {
-  return fail(C, TrapKind::UndefinedSlot, Loc,
-              "class '" + P.Syms.name(P.Classes.info(Cls).Name) +
-                  "' has no slot '" + P.Syms.name(SlotName) + "'");
-}
-
-Value BytecodeInterpreter::failDispatch(Control &C, const SendExpr *S) {
-  // Re-dispatch (cold) to tell "no applicable method" from "ambiguous".
-  bool Ambiguous = false;
-  P.dispatch(S->Generic, ClassScratch, &Ambiguous);
-  if (Ambiguous)
-    return fail(C, TrapKind::AmbiguousDispatch, S->getLoc(),
-                "message '" + P.genericLabel(S->Generic) +
-                    "' is ambiguous for the given argument classes");
-  return fail(C, TrapKind::NoApplicableMethod, S->getLoc(),
-              "message '" + P.genericLabel(S->Generic) + "' not understood");
-}
-
-Value BytecodeInterpreter::failNodeBudget(Control &C, SourceLoc Loc) {
-  return fail(C, TrapKind::NodeBudgetExceeded, Loc,
-              "execution exceeded the node budget of " +
-                  std::to_string(Opts.Limits.MaxNodes) +
-                  " nodes (infinite loop?)");
-}
-
-Value BytecodeInterpreter::failDepth(Control &C, SourceLoc Loc) {
-  return fail(C, TrapKind::RecursionLimitExceeded, Loc,
-              "call depth exceeded the recursion limit of " +
-                  std::to_string(Opts.Limits.MaxDepth) + " activations");
-}
-
-Value BytecodeInterpreter::failNativeStack(Control &C, SourceLoc Loc) {
-  return fail(C, TrapKind::RecursionLimitExceeded, Loc,
-              "recursion exhausted the native stack headroom (" +
-                  std::to_string(StackBudget) +
-                  " bytes) before reaching the recursion limit of " +
-                  std::to_string(Opts.Limits.MaxDepth) + " activations");
-}
-
-Value BytecodeInterpreter::failHeapLimit(Control &C, SourceLoc Loc) {
-  return fail(C, TrapKind::HeapLimitExceeded, Loc,
-              "allocation exceeded the heap limit of " +
-                  std::to_string(Opts.Limits.MaxObjects) + " objects");
-}
-
-Value BytecodeInterpreter::failMemoryBudget(Control &C, SourceLoc Loc,
-                                            uint64_t Requested) {
-  return fail(C, TrapKind::MemoryBudgetExceeded, Loc,
-              "allocation of " + std::to_string(Requested) +
-                  " modeled bytes exceeded the memory budget of " +
-                  std::to_string(Opts.Limits.MaxBytes) + " bytes (" +
-                  std::to_string(TheHeap.bytesAllocated()) +
-                  " already allocated)");
-}
-
-Value BytecodeInterpreter::failDeadline(Control &C, SourceLoc Loc) {
-  CtrDeadlineExpired.add();
-  return fail(C, TrapKind::DeadlineExceeded, Loc,
-              Opts.Cancel ? Opts.Cancel->reason() : "execution cancelled");
-}
-
-Value BytecodeInterpreter::failInjected(Control &C, SourceLoc Loc,
-                                        const char *Name) {
-  return fail(C, TrapKind::InternalError, Loc,
-              failpoint::failureMessage(Name));
 }
 
 void BytecodeInterpreter::giveBack(const BcFunction &Fn, uint32_t Pc) {
@@ -289,11 +85,6 @@ void BytecodeInterpreter::foldRegionCounts() {
   NodesFolded = Stats.NodesEvaluated;
 }
 
-void BytecodeInterpreter::recordArc(CallSiteId Site, MethodId Callee) {
-  if (!Opts.Profile || !Site.isValid())
-    return;
-  Opts.Profile->addHits(Site, P.callSite(Site).Owner, Callee);
-}
 
 //===----------------------------------------------------------------------===//
 // Inline caches
@@ -391,22 +182,8 @@ Value BytecodeInterpreter::callStatic(const BcSite &Site, Value *Args, size_t N,
                                       Control &C) {
   const SendExpr *S = Site.S;
   const CompiledMethod &CM = CP.version(S->Binding.TargetVersion);
-  if (Opts.ValidateBindings) {
-    std::vector<ClassId> Classes;
-    for (size_t I = 0; I != N; ++I)
-      Classes.push_back(Args[I].classOf());
-    MethodId Real = P.dispatch(S->Generic, Classes);
-    if (Real != CM.Source)
-      return fail(C, TrapKind::BindingViolation, S->getLoc(),
-                  "static binding violation at site " +
-                      std::to_string(S->Site.value()) + ": bound to " +
-                      P.methodLabel(CM.Source) + " but dispatch picks " +
-                      (Real.isValid() ? P.methodLabel(Real) : "<none>"));
-    if (!tupleContains(CM.Tuple, Classes))
-      return fail(C, TrapKind::BindingViolation, S->getLoc(),
-                  "static version binding violation at site " +
-                      std::to_string(S->Site.value()));
-  }
+  if (Opts.ValidateBindings && !bindingHolds(S, Args, N, C))
+    return Value::nil();
   recordArc(S->Site, CM.Source);
   ++Stats.StaticCalls;
   Stats.Cycles += Costs.StaticCallCost;
@@ -417,13 +194,8 @@ Value BytecodeInterpreter::callSelect(const BcSite &Site, Value *Args, size_t N,
                                       Control &C) {
   const SendExpr *S = Site.S;
   gatherClasses(Args, N);
-  if (Opts.ValidateBindings) {
-    MethodId Real = P.dispatch(S->Generic, ClassScratch);
-    if (Real != S->Binding.Target)
-      return fail(C, TrapKind::BindingViolation, S->getLoc(),
-                  "static-select binding violation at site " +
-                      std::to_string(S->Site.value()));
-  }
+  if (Opts.ValidateBindings && !bindingHolds(S, Args, N, C))
+    return Value::nil();
   recordArc(S->Site, S->Binding.Target);
   ++Stats.VersionSelects;
   Stats.Cycles += Costs.VersionSelectCost;
@@ -442,15 +214,8 @@ Value BytecodeInterpreter::callSelect(const BcSite &Site, Value *Args, size_t N,
 Value BytecodeInterpreter::callPrim(const BcSite &Site, Value *Args, size_t N,
                                     Control &C) {
   const SendExpr *S = Site.S;
-  if (Opts.ValidateBindings) {
-    std::vector<ClassId> Classes;
-    for (size_t I = 0; I != N; ++I)
-      Classes.push_back(Args[I].classOf());
-    if (P.dispatch(S->Generic, Classes) != S->Binding.Target)
-      return fail(C, TrapKind::BindingViolation, S->getLoc(),
-                  "inline-prim binding violation at site " +
-                      std::to_string(S->Site.value()));
-  }
+  if (Opts.ValidateBindings && !bindingHolds(S, Args, N, C))
+    return Value::nil();
   recordArc(S->Site, S->Binding.Target);
   ++Stats.InlinePrims;
   Stats.Cycles += Costs.InlinePrimCost;
@@ -519,12 +284,8 @@ Value BytecodeInterpreter::callClosureValue(Value Callee, Value *Args,
   if (Lit->Params.size() != N)
     return fail(C, TrapKind::ArityMismatch, Loc,
                 "closure called with wrong number of arguments");
-  if (Depth >= Opts.Limits.MaxDepth)
-    return failDepth(C, Loc);
-  if (nativeStackLow())
-    return failNativeStack(C, Loc);
-  if (failpoint::anyArmed() && failpoint::triggered("interp.frame-acquire"))
-    return failInjected(C, Loc, "interp.frame-acquire");
+  if (!callAllowed(Loc, C))
+    return Value::nil();
 
   // Closures made by this tier carry their compiled body; ones handed in
   // from outside (embedder values) fall back to the module map.
@@ -539,21 +300,10 @@ Value BytecodeInterpreter::callClosureValue(Value Callee, Value *Args,
 
   ++Stats.ClosureCalls;
   Stats.Cycles += Costs.ClosureCallCost;
-
-  FrameGuard G(Frames, Fn->Layout, &Closure->Captured);
-  Frame &Inner = G.frame();
-  for (size_t I = 0; I != N; ++I)
-    Inner.bindParam(Fn->Layout.Params[I], Args[I]);
-
-  uint64_t SavedHome = CurrentHome;
-  CurrentHome = Closure->HomeActivation;
-  ++Depth;
-  if (Depth > Stats.PeakDepth)
-    Stats.PeakDepth = Depth;
-  Value Result = execute(*Fn, Inner, /*Activation=*/0, C);
-  --Depth;
-  CurrentHome = SavedHome;
-  return Result;
+  return activate(Fn->Layout, Args, N, &Closure->Captured,
+                  Closure->HomeActivation, MethodId(), [&](Frame &Inner) {
+                    return execute(*Fn, Inner, /*Activation=*/0, C);
+                  });
 }
 
 Value BytecodeInterpreter::bcInvokeMethod(MethodId M, int VersionIndex,
@@ -576,12 +326,8 @@ Value BytecodeInterpreter::bcInvokeVersion(const CompiledMethod &CM, Value *Args
   if (M.isBuiltin())
     return invokePrim(M.Prim, Args, CallLoc, C);
 
-  if (Depth >= Opts.Limits.MaxDepth)
-    return failDepth(C, CallLoc);
-  if (nativeStackLow())
-    return failNativeStack(C, CallLoc);
-  if (failpoint::anyArmed() && failpoint::triggered("interp.frame-acquire"))
-    return failInjected(C, CallLoc, "interp.frame-acquire");
+  if (!callAllowed(CallLoc, C))
+    return Value::nil();
 
   BcFunction *Fn = Mod.ByVersion[CM.Index];
   if (!Fn)
@@ -589,26 +335,12 @@ Value BytecodeInterpreter::bcInvokeVersion(const CompiledMethod &CM, Value *Args
                 "internal: method version was not compiled to bytecode");
 
   ++Stats.MethodInvocations;
-  uint64_t Activation = NextActivation++;
+  const uint64_t Activation = NextActivation++;
   // The augmented layout sizes the frame for locals plus temp registers;
   // Params are the source layout's, so binding is unchanged.
-  FrameGuard G(Frames, Fn->Layout, nullptr);
-  Frame &F = G.frame();
   assert(Fn->Layout.Params.size() == N && "dispatcher arity mismatch");
-  for (size_t I = 0; I != N; ++I)
-    F.bindParam(Fn->Layout.Params[I], Args[I]);
-
-  uint64_t SavedHome = CurrentHome;
-  CurrentHome = Activation;
-  CallStack.push_back(CM.Source);
-  ++Depth;
-  if (Depth > Stats.PeakDepth)
-    Stats.PeakDepth = Depth;
-  Value Result = execute(*Fn, F, Activation, C);
-  --Depth;
-  CallStack.pop_back();
-  CurrentHome = SavedHome;
-  return Result;
+  return activate(Fn->Layout, Args, N, nullptr, Activation, CM.Source,
+                  [&](Frame &F) { return execute(*Fn, F, Activation, C); });
 }
 
 //===----------------------------------------------------------------------===//
@@ -845,15 +577,9 @@ L_LoadBool: {
 
 L_LoadStr: {
   const Insn &I = *Ip;
-  if (!heapHasRoom()) {
-    failHeapLimit(C, Locs[Ip - Code]);
+  if (!allocationFits(membudget::stringBytes(Fn.StrPool[I.D]->size()),
+                      Locs[Ip - Code], C))
     BC_TRAP();
-  }
-  if (uint64_t N = membudget::stringBytes(Fn.StrPool[I.D]->size());
-      !heapBytesOk(N)) {
-    failMemoryBudget(C, Locs[Ip - Code], N);
-    BC_TRAP();
-  }
   R[I.A] = Value::ofObj(TheHeap.newString(*Fn.StrPool[I.D]));
   ++Ip;
   BC_DISPATCH();
@@ -1069,25 +795,10 @@ HandleCall: {
 
 L_MakeClosure: {
   const Insn &I = *Ip;
-  if (!heapHasRoom()) {
-    failHeapLimit(C, Locs[Ip - Code]);
-    BC_TRAP();
-  }
   const BcClosureRef &Ref = Fn.Closures[I.D];
-  if (uint64_t N = membudget::closureBytes(Ref.Lit->Captures.size());
-      !heapBytesOk(N)) {
-    failMemoryBudget(C, Locs[Ip - Code], N);
+  Obj *O = newClosure(Ref.Lit, F, Locs[Ip - Code], C);
+  if (!O)
     BC_TRAP();
-  }
-  ++Stats.ClosuresCreated;
-  Stats.Cycles += Costs.ClosureCreateCost;
-  std::vector<CellPtr> Captured;
-  Captured.reserve(Ref.Lit->Captures.size());
-  for (const CaptureSpec &CS : Ref.Lit->Captures)
-    Captured.push_back(CS.Source == CaptureSpec::From::EnclosingCell
-                           ? F.cell(CS.Index)
-                           : F.capture(CS.Index));
-  Obj *O = TheHeap.newClosure(Ref.Lit, std::move(Captured), CurrentHome);
   O->BcFn = Ref.Fn;
   R[I.A] = Value::ofObj(O);
   ++Ip;
@@ -1096,16 +807,10 @@ L_MakeClosure: {
 
 L_NewObj: {
   const Insn &I = *Ip;
-  if (!heapHasRoom()) {
-    failHeapLimit(C, Locs[Ip - Code]);
-    BC_TRAP();
-  }
   const BcNewSite &NS = Fn.NewSites[I.D];
-  if (uint64_t N = membudget::instanceBytes(NS.LayoutSize);
-      !heapBytesOk(N)) {
-    failMemoryBudget(C, Locs[Ip - Code], N);
+  if (!allocationFits(membudget::instanceBytes(NS.LayoutSize),
+                      Locs[Ip - Code], C))
     BC_TRAP();
-  }
   ++Stats.Allocations;
   Stats.Cycles += Costs.AllocCost + NS.LayoutSize;
   R[I.A] = Value::ofObj(TheHeap.newInstance(NS.N->Class, NS.LayoutSize));
@@ -1207,251 +912,11 @@ L_RetNonLocal: {
 #undef BC_UNLIKELY
 }
 
-//===----------------------------------------------------------------------===//
-// Primitives (verbatim from the AST tier)
-//===----------------------------------------------------------------------===//
-
-Value BytecodeInterpreter::invokePrim(PrimOp Op, const Value *Args,
-                                      SourceLoc Loc, Control &C) {
-  auto WantInt = [&](const Value &V, int64_t &Out) {
-    if (!V.isInt()) {
-      failPrimType(C, Op, Loc, "an integer");
-      return false;
-    }
-    Out = V.asInt();
-    return true;
-  };
-  auto WantStr = [&](const Value &V, const std::string *&Out) {
-    if (!V.isObject() || V.asObject()->payload() != Obj::Payload::Str) {
-      failPrimType(C, Op, Loc, "a string");
-      return false;
-    }
-    Out = &V.asObject()->Str;
-    return true;
-  };
-  auto WantArray = [&](const Value &V, Obj *&Out) {
-    if (!V.isObject() || V.asObject()->payload() != Obj::Payload::Array) {
-      failPrimType(C, Op, Loc, "an array");
-      return false;
-    }
-    Out = V.asObject();
-    return true;
-  };
-
-  int64_t A = 0, B = 0;
-  const std::string *SA = nullptr, *SB = nullptr;
-  Obj *Arr = nullptr;
-
-  switch (Op) {
-  case PrimOp::None:
-    return fail(C, TrapKind::InternalError, Loc,
-                "internal: invoking PrimOp::None");
-
-  case PrimOp::IntAdd:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofInt(A + B);
-  case PrimOp::IntSub:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofInt(A - B);
-  case PrimOp::IntMul:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofInt(A * B);
-  case PrimOp::IntDiv:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    if (B == 0)
-      return fail(C, TrapKind::DivisionByZero, Loc, "division by zero");
-    return Value::ofInt(A / B);
-  case PrimOp::IntMod:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    if (B == 0)
-      return fail(C, TrapKind::DivisionByZero, Loc, "modulo by zero");
-    return Value::ofInt(A % B);
-  case PrimOp::IntNeg:
-    if (!WantInt(Args[0], A))
-      return Value::nil();
-    return Value::ofInt(-A);
-  case PrimOp::IntLess:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofBool(A < B);
-  case PrimOp::IntLessEq:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofBool(A <= B);
-  case PrimOp::IntGreater:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofBool(A > B);
-  case PrimOp::IntGreaterEq:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofBool(A >= B);
-  case PrimOp::IntEq:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofBool(A == B);
-  case PrimOp::IntNe:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofBool(A != B);
-
-  case PrimOp::BoolNot:
-    if (!Args[0].isBool())
-      return fail(C, TrapKind::TypeError, Loc, "'not' expects a boolean");
-    return Value::ofBool(!Args[0].asBool());
-  case PrimOp::BoolEq:
-    if (!Args[0].isBool() || !Args[1].isBool())
-      return fail(C, TrapKind::TypeError, Loc,
-                  "'==' on booleans expects booleans");
-    return Value::ofBool(Args[0].asBool() == Args[1].asBool());
-
-  case PrimOp::AnyEq:
-    return Value::ofBool(Args[0].identicalTo(Args[1]));
-  case PrimOp::AnyNe:
-    return Value::ofBool(!Args[0].identicalTo(Args[1]));
-
-  case PrimOp::StrConcat:
-    if (!WantStr(Args[0], SA) || !WantStr(Args[1], SB))
-      return Value::nil();
-    if (!heapHasRoom())
-      return failHeapLimit(C, Loc);
-    if (uint64_t N = membudget::stringBytes(SA->size() + SB->size());
-        !heapBytesOk(N))
-      return failMemoryBudget(C, Loc, N);
-    return Value::ofObj(TheHeap.newString(*SA + *SB));
-  case PrimOp::StrEq:
-    if (!WantStr(Args[0], SA) || !WantStr(Args[1], SB))
-      return Value::nil();
-    return Value::ofBool(*SA == *SB);
-  case PrimOp::StrLess:
-    if (!WantStr(Args[0], SA) || !WantStr(Args[1], SB))
-      return Value::nil();
-    return Value::ofBool(*SA < *SB);
-  case PrimOp::StrSize:
-    if (!WantStr(Args[0], SA))
-      return Value::nil();
-    return Value::ofInt(static_cast<int64_t>(SA->size()));
-
-  case PrimOp::ArrayNew:
-    if (!WantInt(Args[0], A))
-      return Value::nil();
-    if (A < 0)
-      return fail(C, TrapKind::TypeError, Loc,
-                  "array size must be non-negative");
-    if (!heapHasRoom())
-      return failHeapLimit(C, Loc);
-    if (uint64_t N = membudget::arrayBytes(static_cast<uint64_t>(A));
-        !heapBytesOk(N))
-      return failMemoryBudget(C, Loc, N);
-    ++Stats.Allocations;
-    Stats.Cycles += Costs.AllocCost + static_cast<uint64_t>(A);
-    return Value::ofObj(TheHeap.newArray(static_cast<size_t>(A)));
-  case PrimOp::ArrayAt:
-    if (!WantArray(Args[0], Arr) || !WantInt(Args[1], A))
-      return Value::nil();
-    if (A < 0 || static_cast<size_t>(A) >= Arr->Slots.size())
-      return failBounds(C, Loc, A, Arr->Slots.size());
-    Stats.Cycles += Costs.SlotCost;
-    return Arr->Slots[static_cast<size_t>(A)];
-  case PrimOp::ArrayPut:
-    if (!WantArray(Args[0], Arr) || !WantInt(Args[1], A))
-      return Value::nil();
-    if (A < 0 || static_cast<size_t>(A) >= Arr->Slots.size())
-      return failBounds(C, Loc, A, Arr->Slots.size());
-    Stats.Cycles += Costs.SlotCost;
-    Arr->Slots[static_cast<size_t>(A)] = Args[2];
-    return Args[2];
-  case PrimOp::ArraySize:
-    if (!WantArray(Args[0], Arr))
-      return Value::nil();
-    return Value::ofInt(static_cast<int64_t>(Arr->Slots.size()));
-
-  case PrimOp::Print:
-    if (Opts.Output)
-      *Opts.Output << valueToString(Args[0]) << '\n';
-    return Value::nil();
-  case PrimOp::ClassName: {
-    if (!heapHasRoom())
-      return failHeapLimit(C, Loc);
-    const std::string &Name =
-        P.Syms.name(P.Classes.info(Args[0].classOf()).Name);
-    if (uint64_t N = membudget::stringBytes(Name.size()); !heapBytesOk(N))
-      return failMemoryBudget(C, Loc, N);
-    return Value::ofObj(TheHeap.newString(Name));
-  }
-  case PrimOp::Abort:
-    return fail(C, TrapKind::UserAbort, Loc,
-                "abort: " + valueToString(Args[0]));
-  }
-  return fail(C, TrapKind::InternalError, Loc,
-              "internal: unknown primitive");
-}
-
-//===----------------------------------------------------------------------===//
-// Entry points
-//===----------------------------------------------------------------------===//
-
-Value BytecodeInterpreter::callGeneric(const std::string &Name,
-                                       std::vector<Value> Args, bool &Ok) {
-  Ok = false;
-  Error.clear();
-  Trap.reset();
-  // Anchor the native-stack backstop at the point the embedder entered.
-  char StackProbe;
-  StackBase = reinterpret_cast<uintptr_t>(&StackProbe);
-  // A deadline that expired before entry fails immediately rather than
-  // waiting for the first sampled chargeNode poll.
-  if (Opts.Cancel && Opts.Cancel->stopRequested()) {
-    CtrDeadlineExpired.add();
-    failTop(TrapKind::DeadlineExceeded, Opts.Cancel->reason());
-    return Value::nil();
-  }
-  Symbol S = P.Syms.find(Name);
-  GenericId G = S.isValid()
-                    ? P.lookupGeneric(S, static_cast<unsigned>(Args.size()))
-                    : GenericId();
-  if (!G.isValid()) {
-    failTop(TrapKind::NoApplicableMethod,
-            "no generic function '" + Name + "/" +
-                std::to_string(Args.size()) + "'");
-    return Value::nil();
-  }
-  std::vector<ClassId> Classes;
-  for (const Value &V : Args)
-    Classes.push_back(V.classOf());
-  bool Ambiguous = false;
-  MethodId Target = P.dispatch(G, Classes, &Ambiguous);
-  if (!Target.isValid()) {
-    failTop(Ambiguous ? TrapKind::AmbiguousDispatch
-                      : TrapKind::NoApplicableMethod,
-            Ambiguous ? "message '" + Name + "' is ambiguous"
-                      : "message '" + Name + "' not understood");
-    return Value::nil();
-  }
-
-  Control C;
+Value BytecodeInterpreter::enter(MethodId Target, int Version,
+                                 std::vector<Value> &Args, Control &C) {
   ChargeLimit = nextChargeLimit(Stats.NodesEvaluated);
-  Value Result = bcInvokeMethod(Target, CP.selectVersion(Target, Classes),
-                                Args.data(), Args.size(), SourceLoc(), C);
+  Value Result =
+      bcInvokeMethod(Target, Version, Args.data(), Args.size(), SourceLoc(), C);
   foldRegionCounts();
-  if (C.K == Control::Kind::Error)
-    return Value::nil();
-  if (C.K == Control::Kind::Return) {
-    failTop(TrapKind::InternalError,
-            "non-local return escaped its home activation");
-    return Value::nil();
-  }
-  Ok = true;
   return Result;
-}
-
-bool BytecodeInterpreter::callMain(int64_t Arg) {
-  bool Ok = false;
-  callGeneric("main", {Value::ofInt(Arg)}, Ok);
-  return Ok;
 }

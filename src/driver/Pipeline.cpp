@@ -164,9 +164,9 @@ bool Workbench::collectProfile(int64_t Input, std::string &ErrorOut) {
   Opts.Limits = Limits;
   Opts.Cancel = Cancel;
 
-  // Both tiers share the callMain/trap/errorMessage surface and record
-  // identical profiles (arcs are gathered at the same sites).
-  auto RunProfile = [&](auto &I) {
+  // Either tier is a RuntimeCore, and both record identical profiles
+  // (arcs are gathered at the same sites).
+  auto RunProfile = [&](RuntimeCore &I) {
     PhaseTimer::Scope Timing("profile");
     if (!I.callMain(Input)) {
       LastTrap = I.trap();

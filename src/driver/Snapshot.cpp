@@ -29,20 +29,7 @@ metrics::Counter CtrCacheBuildFailures("snapshot_cache.build_failures");
 /// deltas sum exactly to the process-wide totals.
 void collectDelta(std::vector<std::pair<std::string, uint64_t>> &MD,
                   const RunStats &S, const Dispatcher::Stats &D) {
-  MD.emplace_back("interp.dynamic_dispatches", S.DynamicDispatches);
-  MD.emplace_back("interp.version_selects", S.VersionSelects);
-  MD.emplace_back("interp.static_calls", S.StaticCalls);
-  MD.emplace_back("interp.inline_prims", S.InlinePrims);
-  MD.emplace_back("interp.predicted_hits", S.PredictedHits);
-  MD.emplace_back("interp.predicted_misses", S.PredictedMisses);
-  MD.emplace_back("interp.feedback_hits", S.FeedbackHits);
-  MD.emplace_back("interp.feedback_misses", S.FeedbackMisses);
-  MD.emplace_back("interp.closures_created", S.ClosuresCreated);
-  MD.emplace_back("interp.closure_calls", S.ClosureCalls);
-  MD.emplace_back("interp.allocations", S.Allocations);
-  MD.emplace_back("interp.method_invocations", S.MethodInvocations);
-  MD.emplace_back("interp.nodes_evaluated", S.NodesEvaluated);
-  MD.emplace_back("interp.cycles", S.Cycles);
+  RuntimeCore::appendStatCounters(S, MD);
   MD.emplace_back("dispatcher.lookups", D.Lookups);
   MD.emplace_back("dispatcher.pic_hits", D.PicHits);
   MD.emplace_back("dispatcher.memo_hits", D.MemoHits);
@@ -76,7 +63,7 @@ CompiledSnapshot::run(int64_t Input, const JobOptions &Opts) const {
   // this snapshot's shared tables, not an owner of fresh ones.
   RO.Tables = Tables.get();
 
-  auto Measure = [&](auto &I) {
+  auto Measure = [&](RuntimeCore &I) {
     bool Ok;
     {
       PhaseTimer::Scope Timing("run");

@@ -6,226 +6,11 @@
 
 #include "interp/Interpreter.h"
 
-#include "support/FailPoint.h"
-#include "support/Metrics.h"
-
-#include <ostream>
-#include <sstream>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
 using namespace selspec;
-
-namespace {
-/// How much native stack eval may consume before the backstop trap fires:
-/// three quarters of the soft stack rlimit, capped at 6 MiB.  The cap
-/// keeps the remaining headroom (frame sizes vary ~10x between release
-/// and sanitizer builds) comfortably larger than one trap-rendering
-/// excursion even on the default 8 MiB main-thread stack.
-size_t nativeStackBudget() {
-  size_t Budget = size_t(6) << 20;
-#if defined(__unix__) || defined(__APPLE__)
-  struct rlimit RL;
-  if (getrlimit(RLIMIT_STACK, &RL) == 0 && RL.rlim_cur != RLIM_INFINITY) {
-    size_t ThreeQuarters = static_cast<size_t>(RL.rlim_cur) / 4 * 3;
-    if (ThreeQuarters < Budget)
-      Budget = ThreeQuarters;
-  }
-#endif
-  return Budget;
-}
-
-metrics::Counter CtrDynamicDispatches("interp.dynamic_dispatches");
-metrics::Counter CtrVersionSelects("interp.version_selects");
-metrics::Counter CtrStaticCalls("interp.static_calls");
-metrics::Counter CtrInlinePrims("interp.inline_prims");
-metrics::Counter CtrPredictedHits("interp.predicted_hits");
-metrics::Counter CtrPredictedMisses("interp.predicted_misses");
-metrics::Counter CtrFeedbackHits("interp.feedback_hits");
-metrics::Counter CtrFeedbackMisses("interp.feedback_misses");
-metrics::Counter CtrClosuresCreated("interp.closures_created");
-metrics::Counter CtrClosureCalls("interp.closure_calls");
-metrics::Counter CtrAllocations("interp.allocations");
-metrics::Counter CtrMethodInvocations("interp.method_invocations");
-metrics::Counter CtrNodesEvaluated("interp.nodes_evaluated");
-metrics::Counter CtrCycles("interp.cycles");
-metrics::Counter CtrBytesAllocated("interp.bytes_allocated");
-metrics::Counter CtrDeadlineExpired("deadline.expired");
-} // namespace
 
 Interpreter::Interpreter(const CompiledProgram &CP, RunOptions Opts,
                          CostModel Costs)
-    : CP(CP), P(CP.program()), Opts(Opts), Costs(Costs),
-      Disp(Opts.Tables ? Dispatcher(*Opts.Tables) : Dispatcher(P)),
-      StackBudget(nativeStackBudget()) {}
-
-Interpreter::~Interpreter() {
-  // RunStats stays a plain struct on the hot path; totals reach the
-  // registry once per run, here.
-  CtrDynamicDispatches.add(Stats.DynamicDispatches);
-  CtrVersionSelects.add(Stats.VersionSelects);
-  CtrStaticCalls.add(Stats.StaticCalls);
-  CtrInlinePrims.add(Stats.InlinePrims);
-  CtrPredictedHits.add(Stats.PredictedHits);
-  CtrPredictedMisses.add(Stats.PredictedMisses);
-  CtrFeedbackHits.add(Stats.FeedbackHits);
-  CtrFeedbackMisses.add(Stats.FeedbackMisses);
-  CtrClosuresCreated.add(Stats.ClosuresCreated);
-  CtrClosureCalls.add(Stats.ClosureCalls);
-  CtrAllocations.add(Stats.Allocations);
-  CtrMethodInvocations.add(Stats.MethodInvocations);
-  CtrNodesEvaluated.add(Stats.NodesEvaluated);
-  CtrCycles.add(Stats.Cycles);
-  CtrBytesAllocated.add(TheHeap.bytesAllocated());
-}
-
-std::string Interpreter::valueToString(const Value &V) const {
-  switch (V.kind()) {
-  case Value::Kind::Nil:
-    return "nil";
-  case Value::Kind::Int:
-    return std::to_string(V.asInt());
-  case Value::Kind::Bool:
-    return V.asBool() ? "true" : "false";
-  case Value::Kind::Object: {
-    const Obj *O = V.asObject();
-    switch (O->payload()) {
-    case Obj::Payload::Str:
-      return O->Str;
-    case Obj::Payload::Array: {
-      std::ostringstream OS;
-      OS << '[';
-      for (size_t I = 0; I != O->Slots.size(); ++I) {
-        if (I)
-          OS << ", ";
-        OS << valueToString(O->Slots[I]);
-      }
-      OS << ']';
-      return OS.str();
-    }
-    case Obj::Payload::Closure:
-      return "<closure>";
-    case Obj::Payload::Instance:
-      return "<" + P.Syms.name(P.Classes.info(O->getClass()).Name) + ">";
-    }
-  }
-  }
-  return "?";
-}
-
-Value Interpreter::fail(Control &C, TrapKind Kind, SourceLoc Loc,
-                        std::string Message) {
-  // First failure wins; anything signaled while already unwinding an
-  // error is dropped.
-  if (C.K != Control::Kind::Error) {
-    C.K = Control::Kind::Error;
-    Trap.reset();
-    Trap.Kind = Kind;
-    Trap.Loc = Loc;
-    Trap.Message = std::move(Message);
-    // Attach a bounded stack trace, innermost frame first.
-    for (auto It = CallStack.rbegin(); It != CallStack.rend(); ++It) {
-      if (Trap.Backtrace.size() == RuntimeTrap::MaxBacktraceFrames) {
-        Trap.FramesElided =
-            CallStack.size() - RuntimeTrap::MaxBacktraceFrames;
-        break;
-      }
-      Trap.Backtrace.push_back(P.methodLabel(*It));
-    }
-    Error = Trap.render();
-  }
-  return Value::nil();
-}
-
-void Interpreter::failTop(TrapKind Kind, std::string Message) {
-  Trap.reset();
-  Trap.Kind = Kind;
-  Trap.Message = std::move(Message);
-  Error = Trap.render();
-}
-
-Value Interpreter::failPrimType(Control &C, PrimOp Op, SourceLoc Loc,
-                                const char *Expected) {
-  return fail(C, TrapKind::TypeError, Loc,
-              std::string("primitive '") + primOpName(Op) + "' expects " +
-                  Expected);
-}
-
-Value Interpreter::failBounds(Control &C, SourceLoc Loc, int64_t Index,
-                              size_t Size) {
-  return fail(C, TrapKind::IndexOutOfBounds, Loc,
-              "array index " + std::to_string(Index) +
-                  " out of bounds (size " + std::to_string(Size) + ")");
-}
-
-Value Interpreter::failNoSlot(Control &C, SourceLoc Loc, ClassId Cls,
-                              Symbol SlotName) {
-  return fail(C, TrapKind::UndefinedSlot, Loc,
-              "class '" + P.Syms.name(P.Classes.info(Cls).Name) +
-                  "' has no slot '" + P.Syms.name(SlotName) + "'");
-}
-
-Value Interpreter::failDispatch(Control &C, const SendExpr *S) {
-  // Re-dispatch (cold) to tell "no applicable method" from "ambiguous".
-  bool Ambiguous = false;
-  P.dispatch(S->Generic, ClassScratch, &Ambiguous);
-  if (Ambiguous)
-    return fail(C, TrapKind::AmbiguousDispatch, S->getLoc(),
-                "message '" + P.genericLabel(S->Generic) +
-                    "' is ambiguous for the given argument classes");
-  return fail(C, TrapKind::NoApplicableMethod, S->getLoc(),
-              "message '" + P.genericLabel(S->Generic) + "' not understood");
-}
-
-Value Interpreter::failNodeBudget(Control &C, SourceLoc Loc) {
-  return fail(C, TrapKind::NodeBudgetExceeded, Loc,
-              "execution exceeded the node budget of " +
-                  std::to_string(Opts.Limits.MaxNodes) +
-                  " nodes (infinite loop?)");
-}
-
-Value Interpreter::failDepth(Control &C, SourceLoc Loc) {
-  return fail(C, TrapKind::RecursionLimitExceeded, Loc,
-              "call depth exceeded the recursion limit of " +
-                  std::to_string(Opts.Limits.MaxDepth) + " activations");
-}
-
-Value Interpreter::failNativeStack(Control &C, SourceLoc Loc) {
-  return fail(C, TrapKind::RecursionLimitExceeded, Loc,
-              "recursion exhausted the native stack headroom (" +
-                  std::to_string(StackBudget) +
-                  " bytes) before reaching the recursion limit of " +
-                  std::to_string(Opts.Limits.MaxDepth) + " activations");
-}
-
-Value Interpreter::failHeapLimit(Control &C, SourceLoc Loc) {
-  return fail(C, TrapKind::HeapLimitExceeded, Loc,
-              "allocation exceeded the heap limit of " +
-                  std::to_string(Opts.Limits.MaxObjects) + " objects");
-}
-
-Value Interpreter::failMemoryBudget(Control &C, SourceLoc Loc,
-                                    uint64_t Requested) {
-  return fail(C, TrapKind::MemoryBudgetExceeded, Loc,
-              "allocation of " + std::to_string(Requested) +
-                  " modeled bytes exceeded the memory budget of " +
-                  std::to_string(Opts.Limits.MaxBytes) + " bytes (" +
-                  std::to_string(TheHeap.bytesAllocated()) +
-                  " already allocated)");
-}
-
-Value Interpreter::failDeadline(Control &C, SourceLoc Loc) {
-  CtrDeadlineExpired.add();
-  return fail(C, TrapKind::DeadlineExceeded, Loc,
-              Opts.Cancel ? Opts.Cancel->reason() : "execution cancelled");
-}
-
-Value Interpreter::failInjected(Control &C, SourceLoc Loc, const char *Name) {
-  return fail(C, TrapKind::InternalError, Loc,
-              failpoint::failureMessage(Name));
-}
+    : RuntimeCore(CP, Opts, Costs) {}
 
 bool Interpreter::chargeNode(const Expr *E, Control &C) {
   ++Stats.NodesEvaluated;
@@ -242,12 +27,6 @@ bool Interpreter::chargeNode(const Expr *E, Control &C) {
     return false;
   }
   return true;
-}
-
-void Interpreter::recordArc(CallSiteId Site, MethodId Callee) {
-  if (!Opts.Profile || !Site.isValid())
-    return;
-  Opts.Profile->addHits(Site, P.callSite(Site).Owner, Callee);
 }
 
 namespace {
@@ -282,11 +61,9 @@ Value Interpreter::eval(const Expr *E, Frame &F, Control &C) {
   case Expr::Kind::BoolLit:
     return Value::ofBool(cast<BoolLitExpr>(E)->Value);
   case Expr::Kind::StrLit: {
-    if (!heapHasRoom())
-      return failHeapLimit(C, E->getLoc());
     const std::string &S = cast<StrLitExpr>(E)->Value;
-    if (uint64_t N = membudget::stringBytes(S.size()); !heapBytesOk(N))
-      return failMemoryBudget(C, E->getLoc(), N);
+    if (!allocationFits(membudget::stringBytes(S.size()), E->getLoc(), C))
+      return Value::nil();
     return Value::ofObj(TheHeap.newString(S));
   }
   case Expr::Kind::NilLit:
@@ -415,59 +192,28 @@ Value Interpreter::eval(const Expr *E, Frame &F, Control &C) {
     if (Lit->Params.size() != NumArgs)
       return fail(C, TrapKind::ArityMismatch, E->getLoc(),
                   "closure called with wrong number of arguments");
-    if (Depth >= Opts.Limits.MaxDepth)
-      return failDepth(C, E->getLoc());
-    if (nativeStackLow())
-      return failNativeStack(C, E->getLoc());
-    if (failpoint::anyArmed() && failpoint::triggered("interp.frame-acquire"))
-      return failInjected(C, E->getLoc(), "interp.frame-acquire");
+    if (!callAllowed(E->getLoc(), C))
+      return Value::nil();
 
     ++Stats.ClosureCalls;
     Stats.Cycles += Costs.ClosureCallCost;
-
-    FrameGuard G(Frames, Lit->Layout, &Closure->Captured);
-    Frame &Inner = G.frame();
-    for (size_t I = 0; I != NumArgs; ++I)
-      Inner.bindParam(Lit->Layout.Params[I], ArgStack[ArgsBase + I]);
-
-    uint64_t SavedHome = CurrentHome;
-    CurrentHome = Closure->HomeActivation;
-    ++Depth;
-    if (Depth > Stats.PeakDepth)
-      Stats.PeakDepth = Depth;
-    Value Result = eval(Lit->Body.get(), Inner, C);
-    --Depth;
-    CurrentHome = SavedHome;
-    return Result;
+    return activate(
+        Lit->Layout, ArgStack.data() + ArgsBase, NumArgs, &Closure->Captured,
+        Closure->HomeActivation, MethodId(),
+        [&](Frame &Inner) { return eval(Lit->Body.get(), Inner, C); });
   }
 
   case Expr::Kind::ClosureLit: {
-    const auto *Lit = cast<ClosureLitExpr>(E);
-    if (!heapHasRoom())
-      return failHeapLimit(C, E->getLoc());
-    if (uint64_t N = membudget::closureBytes(Lit->Captures.size());
-        !heapBytesOk(N))
-      return failMemoryBudget(C, E->getLoc(), N);
-    ++Stats.ClosuresCreated;
-    Stats.Cycles += Costs.ClosureCreateCost;
-    std::vector<CellPtr> Captured;
-    Captured.reserve(Lit->Captures.size());
-    for (const CaptureSpec &CS : Lit->Captures)
-      Captured.push_back(CS.Source == CaptureSpec::From::EnclosingCell
-                             ? F.cell(CS.Index)
-                             : F.capture(CS.Index));
-    return Value::ofObj(
-        TheHeap.newClosure(Lit, std::move(Captured), CurrentHome));
+    Obj *O = newClosure(cast<ClosureLitExpr>(E), F, E->getLoc(), C);
+    return O ? Value::ofObj(O) : Value::nil();
   }
 
   case Expr::Kind::New: {
     const auto *N = cast<NewExpr>(E);
-    if (!heapHasRoom())
-      return failHeapLimit(C, E->getLoc());
     const ClassInfo &Info = P.Classes.info(N->Class);
-    if (uint64_t B = membudget::instanceBytes(Info.Layout.size());
-        !heapBytesOk(B))
-      return failMemoryBudget(C, E->getLoc(), B);
+    if (!allocationFits(membudget::instanceBytes(Info.Layout.size()),
+                        E->getLoc(), C))
+      return Value::nil();
     ++Stats.Allocations;
     Stats.Cycles += Costs.AllocCost + Info.Layout.size();
     Obj *O = TheHeap.newInstance(
@@ -594,33 +340,16 @@ Value Interpreter::invokeVersion(const CompiledMethod &CM, size_t ArgsBase,
   if (M.isBuiltin())
     return invokePrim(M.Prim, ArgStack.data() + ArgsBase, CallLoc, C);
 
-  if (Depth >= Opts.Limits.MaxDepth)
-    return failDepth(C, CallLoc);
-  if (nativeStackLow())
-    return failNativeStack(C, CallLoc);
-  if (failpoint::anyArmed() && failpoint::triggered("interp.frame-acquire"))
-    return failInjected(C, CallLoc, "interp.frame-acquire");
+  if (!callAllowed(CallLoc, C))
+    return Value::nil();
 
   ++Stats.MethodInvocations;
-  uint64_t Activation = NextActivation++;
-  FrameGuard G(Frames, CM.Layout, nullptr);
-  Frame &F = G.frame();
+  const uint64_t Activation = NextActivation++;
   const size_t NumArgs = ArgStack.size() - ArgsBase;
-  assert(CM.Layout.Params.size() == NumArgs &&
-         "dispatcher arity mismatch");
-  for (size_t I = 0; I != NumArgs; ++I)
-    F.bindParam(CM.Layout.Params[I], ArgStack[ArgsBase + I]);
-
-  uint64_t SavedHome = CurrentHome;
-  CurrentHome = Activation;
-  CallStack.push_back(CM.Source);
-  ++Depth;
-  if (Depth > Stats.PeakDepth)
-    Stats.PeakDepth = Depth;
-  Value Result = eval(CM.Body.get(), F, C);
-  --Depth;
-  CallStack.pop_back();
-  CurrentHome = SavedHome;
+  assert(CM.Layout.Params.size() == NumArgs && "dispatcher arity mismatch");
+  Value Result = activate(
+      CM.Layout, ArgStack.data() + ArgsBase, NumArgs, nullptr, Activation,
+      CM.Source, [&](Frame &F) { return eval(CM.Body.get(), F, C); });
 
   if (C.K == Control::Kind::Return && C.Activation == Activation &&
       C.Boundary == 0) {
@@ -632,10 +361,7 @@ Value Interpreter::invokeVersion(const CompiledMethod &CM, size_t ArgsBase,
 
 Value Interpreter::dispatchCall(const SendExpr *S, size_t ArgsBase,
                                 Control &C) {
-  ClassScratch.clear();
-  for (size_t I = ArgsBase; I != ArgStack.size(); ++I)
-    ClassScratch.push_back(ArgStack[I].classOf());
-
+  gatherClasses(ArgStack.data() + ArgsBase, ArgStack.size() - ArgsBase);
   MethodId Target = Disp.lookup(S->Generic, ClassScratch, S->Site);
   if (!Target.isValid())
     return failDispatch(C, S);
@@ -652,6 +378,8 @@ Value Interpreter::evalSend(const SendExpr *S, Frame &F, Control &C) {
   ArgStackScope ArgsScope{ArgStack, ArgsBase};
   if (!evalArgs(S->Args, F, C))
     return Value::nil();
+  const Value *Args = ArgStack.data() + ArgsBase;
+  const size_t NumArgs = ArgStack.size() - ArgsBase;
 
   switch (S->Binding.Kind) {
   case SendBindKind::Dynamic:
@@ -659,22 +387,8 @@ Value Interpreter::evalSend(const SendExpr *S, Frame &F, Control &C) {
 
   case SendBindKind::Static: {
     const CompiledMethod &CM = CP.version(S->Binding.TargetVersion);
-    if (Opts.ValidateBindings) {
-      std::vector<ClassId> Classes;
-      for (size_t I = ArgsBase; I != ArgStack.size(); ++I)
-        Classes.push_back(ArgStack[I].classOf());
-      MethodId Real = P.dispatch(S->Generic, Classes);
-      if (Real != CM.Source)
-        return fail(C, TrapKind::BindingViolation, S->getLoc(),
-                    "static binding violation at site " +
-                        std::to_string(S->Site.value()) + ": bound to " +
-                        P.methodLabel(CM.Source) + " but dispatch picks " +
-                        (Real.isValid() ? P.methodLabel(Real) : "<none>"));
-      if (!tupleContains(CM.Tuple, Classes))
-        return fail(C, TrapKind::BindingViolation, S->getLoc(),
-                    "static version binding violation at site " +
-                        std::to_string(S->Site.value()));
-    }
+    if (Opts.ValidateBindings && !bindingHolds(S, Args, NumArgs, C))
+      return Value::nil();
     recordArc(S->Site, CM.Source);
     ++Stats.StaticCalls;
     Stats.Cycles += Costs.StaticCallCost;
@@ -682,16 +396,9 @@ Value Interpreter::evalSend(const SendExpr *S, Frame &F, Control &C) {
   }
 
   case SendBindKind::StaticSelect: {
-    ClassScratch.clear();
-    for (size_t I = ArgsBase; I != ArgStack.size(); ++I)
-      ClassScratch.push_back(ArgStack[I].classOf());
-    if (Opts.ValidateBindings) {
-      MethodId Real = P.dispatch(S->Generic, ClassScratch);
-      if (Real != S->Binding.Target)
-        return fail(C, TrapKind::BindingViolation, S->getLoc(),
-                    "static-select binding violation at site " +
-                        std::to_string(S->Site.value()));
-    }
+    gatherClasses(Args, NumArgs);
+    if (Opts.ValidateBindings && !bindingHolds(S, Args, NumArgs, C))
+      return Value::nil();
     recordArc(S->Site, S->Binding.Target);
     ++Stats.VersionSelects;
     Stats.Cycles += Costs.VersionSelectCost;
@@ -701,26 +408,16 @@ Value Interpreter::evalSend(const SendExpr *S, Frame &F, Control &C) {
   }
 
   case SendBindKind::InlinePrim: {
-    const MethodInfo &M = P.method(S->Binding.Target);
-    if (Opts.ValidateBindings) {
-      std::vector<ClassId> Classes;
-      for (size_t I = ArgsBase; I != ArgStack.size(); ++I)
-        Classes.push_back(ArgStack[I].classOf());
-      if (P.dispatch(S->Generic, Classes) != S->Binding.Target)
-        return fail(C, TrapKind::BindingViolation, S->getLoc(),
-                    "inline-prim binding violation at site " +
-                        std::to_string(S->Site.value()));
-    }
+    if (Opts.ValidateBindings && !bindingHolds(S, Args, NumArgs, C))
+      return Value::nil();
     recordArc(S->Site, S->Binding.Target);
     ++Stats.InlinePrims;
     Stats.Cycles += Costs.InlinePrimCost;
-    return invokePrim(M.Prim, ArgStack.data() + ArgsBase, S->getLoc(), C);
+    return invokePrim(P.method(S->Binding.Target).Prim, Args, S->getLoc(), C);
   }
 
   case SendBindKind::FeedbackGuard: {
-    ClassScratch.clear();
-    for (size_t I = ArgsBase; I != ArgStack.size(); ++I)
-      ClassScratch.push_back(ArgStack[I].classOf());
+    gatherClasses(Args, NumArgs);
     // The modeled machine executes an inline-cache class test; this
     // implementation realizes the test via the dispatcher.
     Stats.Cycles += Costs.PredictTestCost;
@@ -733,7 +430,7 @@ Value Interpreter::evalSend(const SendExpr *S, Frame &F, Control &C) {
       const MethodInfo &M = P.method(Real);
       if (M.isBuiltin()) {
         Stats.Cycles += Costs.InlinePrimCost;
-        return invokePrim(M.Prim, ArgStack.data() + ArgsBase, S->getLoc(), C);
+        return invokePrim(M.Prim, Args, S->getLoc(), C);
       }
       Stats.Cycles += Costs.StaticCallCost;
       return invokeMethod(Real, CP.selectVersion(Real, ClassScratch),
@@ -749,14 +446,14 @@ Value Interpreter::evalSend(const SendExpr *S, Frame &F, Control &C) {
   case SendBindKind::Predicted: {
     Stats.Cycles += Costs.PredictTestCost;
     bool Hit = true;
-    for (size_t I = ArgsBase; I != ArgStack.size(); ++I)
-      Hit &= ArgStack[I].classOf() == S->Binding.PredictedClass;
+    for (size_t I = 0; I != NumArgs; ++I)
+      Hit &= Args[I].classOf() == S->Binding.PredictedClass;
     if (Hit) {
       recordArc(S->Site, S->Binding.Target);
       ++Stats.PredictedHits;
       Stats.Cycles += Costs.InlinePrimCost;
-      return invokePrim(P.method(S->Binding.Target).Prim,
-                        ArgStack.data() + ArgsBase, S->getLoc(), C);
+      return invokePrim(P.method(S->Binding.Target).Prim, Args, S->getLoc(),
+                        C);
     }
     ++Stats.PredictedMisses;
     return dispatchCall(S, ArgsBase, C);
@@ -766,246 +463,10 @@ Value Interpreter::evalSend(const SendExpr *S, Frame &F, Control &C) {
               "internal: unknown binding kind");
 }
 
-Value Interpreter::invokePrim(PrimOp Op, const Value *Args, SourceLoc Loc,
-                              Control &C) {
-  auto WantInt = [&](const Value &V, int64_t &Out) {
-    if (!V.isInt()) {
-      failPrimType(C, Op, Loc, "an integer");
-      return false;
-    }
-    Out = V.asInt();
-    return true;
-  };
-  auto WantStr = [&](const Value &V, const std::string *&Out) {
-    if (!V.isObject() || V.asObject()->payload() != Obj::Payload::Str) {
-      failPrimType(C, Op, Loc, "a string");
-      return false;
-    }
-    Out = &V.asObject()->Str;
-    return true;
-  };
-  auto WantArray = [&](const Value &V, Obj *&Out) {
-    if (!V.isObject() || V.asObject()->payload() != Obj::Payload::Array) {
-      failPrimType(C, Op, Loc, "an array");
-      return false;
-    }
-    Out = V.asObject();
-    return true;
-  };
-
-  int64_t A = 0, B = 0;
-  const std::string *SA = nullptr, *SB = nullptr;
-  Obj *Arr = nullptr;
-
-  switch (Op) {
-  case PrimOp::None:
-    return fail(C, TrapKind::InternalError, Loc,
-                "internal: invoking PrimOp::None");
-
-  case PrimOp::IntAdd:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofInt(A + B);
-  case PrimOp::IntSub:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofInt(A - B);
-  case PrimOp::IntMul:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofInt(A * B);
-  case PrimOp::IntDiv:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    if (B == 0)
-      return fail(C, TrapKind::DivisionByZero, Loc, "division by zero");
-    return Value::ofInt(A / B);
-  case PrimOp::IntMod:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    if (B == 0)
-      return fail(C, TrapKind::DivisionByZero, Loc, "modulo by zero");
-    return Value::ofInt(A % B);
-  case PrimOp::IntNeg:
-    if (!WantInt(Args[0], A))
-      return Value::nil();
-    return Value::ofInt(-A);
-  case PrimOp::IntLess:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofBool(A < B);
-  case PrimOp::IntLessEq:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofBool(A <= B);
-  case PrimOp::IntGreater:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofBool(A > B);
-  case PrimOp::IntGreaterEq:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofBool(A >= B);
-  case PrimOp::IntEq:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofBool(A == B);
-  case PrimOp::IntNe:
-    if (!WantInt(Args[0], A) || !WantInt(Args[1], B))
-      return Value::nil();
-    return Value::ofBool(A != B);
-
-  case PrimOp::BoolNot:
-    if (!Args[0].isBool())
-      return fail(C, TrapKind::TypeError, Loc, "'not' expects a boolean");
-    return Value::ofBool(!Args[0].asBool());
-  case PrimOp::BoolEq:
-    if (!Args[0].isBool() || !Args[1].isBool())
-      return fail(C, TrapKind::TypeError, Loc,
-                  "'==' on booleans expects booleans");
-    return Value::ofBool(Args[0].asBool() == Args[1].asBool());
-
-  case PrimOp::AnyEq:
-    return Value::ofBool(Args[0].identicalTo(Args[1]));
-  case PrimOp::AnyNe:
-    return Value::ofBool(!Args[0].identicalTo(Args[1]));
-
-  case PrimOp::StrConcat:
-    if (!WantStr(Args[0], SA) || !WantStr(Args[1], SB))
-      return Value::nil();
-    if (!heapHasRoom())
-      return failHeapLimit(C, Loc);
-    if (uint64_t N = membudget::stringBytes(SA->size() + SB->size());
-        !heapBytesOk(N))
-      return failMemoryBudget(C, Loc, N);
-    return Value::ofObj(TheHeap.newString(*SA + *SB));
-  case PrimOp::StrEq:
-    if (!WantStr(Args[0], SA) || !WantStr(Args[1], SB))
-      return Value::nil();
-    return Value::ofBool(*SA == *SB);
-  case PrimOp::StrLess:
-    if (!WantStr(Args[0], SA) || !WantStr(Args[1], SB))
-      return Value::nil();
-    return Value::ofBool(*SA < *SB);
-  case PrimOp::StrSize:
-    if (!WantStr(Args[0], SA))
-      return Value::nil();
-    return Value::ofInt(static_cast<int64_t>(SA->size()));
-
-  case PrimOp::ArrayNew:
-    if (!WantInt(Args[0], A))
-      return Value::nil();
-    if (A < 0)
-      return fail(C, TrapKind::TypeError, Loc,
-                  "array size must be non-negative");
-    if (!heapHasRoom())
-      return failHeapLimit(C, Loc);
-    if (uint64_t N = membudget::arrayBytes(static_cast<uint64_t>(A));
-        !heapBytesOk(N))
-      return failMemoryBudget(C, Loc, N);
-    ++Stats.Allocations;
-    Stats.Cycles += Costs.AllocCost + static_cast<uint64_t>(A);
-    return Value::ofObj(TheHeap.newArray(static_cast<size_t>(A)));
-  case PrimOp::ArrayAt:
-    if (!WantArray(Args[0], Arr) || !WantInt(Args[1], A))
-      return Value::nil();
-    if (A < 0 || static_cast<size_t>(A) >= Arr->Slots.size())
-      return failBounds(C, Loc, A, Arr->Slots.size());
-    Stats.Cycles += Costs.SlotCost;
-    return Arr->Slots[static_cast<size_t>(A)];
-  case PrimOp::ArrayPut:
-    if (!WantArray(Args[0], Arr) || !WantInt(Args[1], A))
-      return Value::nil();
-    if (A < 0 || static_cast<size_t>(A) >= Arr->Slots.size())
-      return failBounds(C, Loc, A, Arr->Slots.size());
-    Stats.Cycles += Costs.SlotCost;
-    Arr->Slots[static_cast<size_t>(A)] = Args[2];
-    return Args[2];
-  case PrimOp::ArraySize:
-    if (!WantArray(Args[0], Arr))
-      return Value::nil();
-    return Value::ofInt(static_cast<int64_t>(Arr->Slots.size()));
-
-  case PrimOp::Print:
-    if (Opts.Output)
-      *Opts.Output << valueToString(Args[0]) << '\n';
-    return Value::nil();
-  case PrimOp::ClassName: {
-    if (!heapHasRoom())
-      return failHeapLimit(C, Loc);
-    const std::string &Name =
-        P.Syms.name(P.Classes.info(Args[0].classOf()).Name);
-    if (uint64_t N = membudget::stringBytes(Name.size()); !heapBytesOk(N))
-      return failMemoryBudget(C, Loc, N);
-    return Value::ofObj(TheHeap.newString(Name));
-  }
-  case PrimOp::Abort:
-    return fail(C, TrapKind::UserAbort, Loc,
-                "abort: " + valueToString(Args[0]));
-  }
-  return fail(C, TrapKind::InternalError, Loc,
-              "internal: unknown primitive");
-}
-
-Value Interpreter::callGeneric(const std::string &Name,
-                               std::vector<Value> Args, bool &Ok) {
-  Ok = false;
-  Error.clear();
-  Trap.reset();
-  // Anchor the native-stack backstop at the point the embedder entered;
-  // see nativeStackLow().
-  char StackProbe;
-  StackBase = reinterpret_cast<uintptr_t>(&StackProbe);
-  // A deadline that expired before entry fails immediately rather than
-  // waiting for the first sampled chargeNode poll.
-  if (Opts.Cancel && Opts.Cancel->stopRequested()) {
-    CtrDeadlineExpired.add();
-    failTop(TrapKind::DeadlineExceeded, Opts.Cancel->reason());
-    return Value::nil();
-  }
-  Symbol S = P.Syms.find(Name);
-  GenericId G = S.isValid()
-                    ? P.lookupGeneric(S, static_cast<unsigned>(Args.size()))
-                    : GenericId();
-  if (!G.isValid()) {
-    failTop(TrapKind::NoApplicableMethod,
-            "no generic function '" + Name + "/" +
-                std::to_string(Args.size()) + "'");
-    return Value::nil();
-  }
-  std::vector<ClassId> Classes;
-  for (const Value &V : Args)
-    Classes.push_back(V.classOf());
-  bool Ambiguous = false;
-  MethodId Target = P.dispatch(G, Classes, &Ambiguous);
-  if (!Target.isValid()) {
-    failTop(Ambiguous ? TrapKind::AmbiguousDispatch
-                      : TrapKind::NoApplicableMethod,
-            Ambiguous ? "message '" + Name + "' is ambiguous"
-                      : "message '" + Name + "' not understood");
-    return Value::nil();
-  }
-
+Value Interpreter::enter(MethodId Target, int Version,
+                         std::vector<Value> &Args, Control &C) {
   const size_t ArgsBase = ArgStack.size();
   ArgStackScope ArgsScope{ArgStack, ArgsBase};
-  for (const Value &V : Args)
-    ArgStack.push_back(V);
-  Control C;
-  Value Result = invokeMethod(Target, CP.selectVersion(Target, Classes),
-                              ArgsBase, SourceLoc(), C);
-  if (C.K == Control::Kind::Error)
-    return Value::nil();
-  if (C.K == Control::Kind::Return) {
-    failTop(TrapKind::InternalError,
-            "non-local return escaped its home activation");
-    return Value::nil();
-  }
-  Ok = true;
-  return Result;
-}
-
-bool Interpreter::callMain(int64_t Arg) {
-  bool Ok = false;
-  callGeneric("main", {Value::ofInt(Arg)}, Ok);
-  return Ok;
+  ArgStack.insert(ArgStack.end(), Args.begin(), Args.end());
+  return invokeMethod(Target, Version, ArgsBase, SourceLoc(), C);
 }

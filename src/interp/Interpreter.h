@@ -5,13 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes a CompiledProgram, honoring the optimizer's binding
-/// annotations (dynamic dispatch, static call, version selection, inlined
-/// primitive, class prediction) and charging the CostModel.  The same
-/// interpreter both gathers profiles (filling a CallGraph with
-/// call-site-exact weighted arcs, the paper's PIC-based profiling) and
-/// measures optimized executions (dispatch counts and modeled cycles for
-/// Figure 5, invoked-version bits for Figure 6).
+/// The AST tier: walks a CompiledProgram's expression trees, honoring the
+/// optimizer's binding annotations (dynamic dispatch, static call, version
+/// selection, inlined primitive, class prediction) and charging the
+/// CostModel node by node.  The same interpreter both gathers profiles
+/// (filling a CallGraph with call-site-exact weighted arcs, the paper's
+/// PIC-based profiling) and measures optimized executions (dispatch counts
+/// and modeled cycles for Figure 5, invoked-version bits for Figure 6).
+/// It is the semantic reference the bytecode tier is checked against.
+///
+/// Primitives, traps, value rendering, resource guards, the callGeneric
+/// entry path and stats publication come from RuntimeCore, shared with
+/// the bytecode tier; this class adds only the tree walk.
 ///
 /// Non-local returns: `return` inside a closure unwinds to the closure's
 /// home method activation (Cecil semantics), which the Figure 1
@@ -23,76 +28,13 @@
 #ifndef SELSPEC_INTERP_INTERPRETER_H
 #define SELSPEC_INTERP_INTERPRETER_H
 
-#include "interp/CostModel.h"
-#include "interp/RuntimeTrap.h"
-#include "opt/CompiledProgram.h"
-#include "profile/CallGraph.h"
-#include "runtime/Dispatcher.h"
-#include "runtime/Frame.h"
-#include "runtime/Heap.h"
-#include "runtime/Value.h"
-#include "support/Deadline.h"
+#include "interp/RuntimeCore.h"
 
-#include <array>
-#include <cstdint>
-#include <iosfwd>
-#include <string>
+#include <vector>
 
 namespace selspec {
 
-/// Counters of one execution.
-struct RunStats {
-  uint64_t DynamicDispatches = 0;
-  uint64_t VersionSelects = 0;
-  uint64_t StaticCalls = 0;
-  uint64_t InlinePrims = 0;
-  uint64_t PredictedHits = 0;
-  uint64_t PredictedMisses = 0;
-  uint64_t FeedbackHits = 0;
-  uint64_t FeedbackMisses = 0;
-  uint64_t ClosuresCreated = 0;
-  uint64_t ClosureCalls = 0;
-  uint64_t Allocations = 0;
-  uint64_t MethodInvocations = 0;
-  uint64_t NodesEvaluated = 0;
-  /// Deepest concurrently-active Mica call chain (methods + closures);
-  /// what ResourceLimits::MaxDepth bounds.
-  uint64_t PeakDepth = 0;
-  /// Modeled execution time.
-  uint64_t Cycles = 0;
-  /// Executed-node histogram by AST kind (the `--time-report` node mix).
-  std::array<uint64_t, Expr::NumKinds> NodeMix{};
-
-  /// The paper's "number of dynamic dispatches": full dispatches plus
-  /// run-time version selections (statically-bound calls that had to be
-  /// converted back to dispatches, Section 3.3).
-  uint64_t totalDispatches() const {
-    return DynamicDispatches + VersionSelects;
-  }
-};
-
-struct RunOptions {
-  /// Record (site, caller, callee, weight) arcs into Profile.
-  CallGraph *Profile = nullptr;
-  /// Verify every statically-bound send against real dispatch (tests).
-  bool ValidateBindings = false;
-  /// Resource guards: node budget, recursion depth, heap object count.
-  ResourceLimits Limits;
-  /// Destination of `print`; null discards output.
-  std::ostream *Output = nullptr;
-  /// Cooperative stop signal (deadline and/or external cancel); polled
-  /// every DeadlineCheckInterval evaluated nodes, trapping
-  /// DeadlineExceeded.  Null disables the checks beyond one predictable
-  /// branch per node.
-  const CancelToken *Cancel = nullptr;
-  /// Shared immutable dispatch tables (a CompiledSnapshot's).  When set,
-  /// the interpreter's Dispatcher becomes a per-thread cache over them
-  /// instead of owning its own; lookup results are identical either way.
-  /// Must outlive the interpreter.
-  const DispatchTables *Tables = nullptr;
-};
-
-class Interpreter {
+class Interpreter final : public RuntimeCore {
 public:
   /// \p CP is shared, not owned: interpreters only read it (the atomic
   /// invoked bits are the documented exception), so any number of
@@ -100,40 +42,9 @@ public:
   explicit Interpreter(const CompiledProgram &CP, RunOptions Opts = {},
                        CostModel Costs = {});
 
-  /// Publishes the accumulated RunStats onto the process-wide metrics
-  /// registry (`interp.*` counters).
-  ~Interpreter();
-
-  /// Invokes `main(Arg)`.  Returns false on any runtime error (see
-  /// trap() / errorMessage()).
-  bool callMain(int64_t Arg);
-
-  /// Invokes generic \p Name on \p Args; \p Ok reports success.
-  Value callGeneric(const std::string &Name, std::vector<Value> Args,
-                    bool &Ok);
-
-  const RunStats &stats() const { return Stats; }
-  /// The structured failure of the last run (Kind == None on success).
-  const RuntimeTrap &trap() const { return Trap; }
-  /// Rendered form of trap() (message + location + backtrace).
-  const std::string &errorMessage() const { return Error; }
-  Dispatcher &dispatcher() { return Disp; }
-  Heap &heap() { return TheHeap; }
-  const CostModel &costs() const { return Costs; }
-
-  /// Renders a value for `print` and diagnostics.
-  std::string valueToString(const Value &V) const;
-
 private:
-  struct Control {
-    enum class Kind : uint8_t { None, Return, Error };
-    Kind K = Kind::None;
-    uint64_t Activation = 0;
-    uint32_t Boundary = 0;
-    Value Val;
-
-    bool active() const { return K != Kind::None; }
-  };
+  Value enter(MethodId Target, int Version, std::vector<Value> &Args,
+              Control &C) override;
 
   Value eval(const Expr *E, Frame &F, Control &C);
   Value evalSend(const SendExpr *S, Frame &F, Control &C);
@@ -147,104 +58,12 @@ private:
                      SourceLoc CallLoc, Control &C);
   Value invokeVersion(const CompiledMethod &CM, size_t ArgsBase,
                       SourceLoc CallLoc, Control &C);
-  /// \p Args points at the callee's arguments on ArgStack; primitives
-  /// never re-enter eval, so the pointer stays valid throughout.
-  Value invokePrim(PrimOp Op, const Value *Args, SourceLoc Loc, Control &C);
   Value dispatchCall(const SendExpr *S, size_t ArgsBase, Control &C);
   bool evalArgs(const std::vector<ExprPtr> &ArgExprs, Frame &F, Control &C);
-  void recordArc(CallSiteId Site, MethodId Callee);
-  Value fail(Control &C, TrapKind Kind, SourceLoc Loc, std::string Message);
-  /// Records a failure that happens outside any Control channel (the
-  /// callGeneric entry path).
-  void failTop(TrapKind Kind, std::string Message);
   bool chargeNode(const Expr *E, Control &C);
-  bool heapHasRoom() const {
-    return TheHeap.numAllocated() < Opts.Limits.MaxObjects;
-  }
-  /// True when allocating \p Incoming more modeled bytes stays within the
-  /// per-job byte budget.  Checked before each allocation with the
-  /// incoming object's exact modeled size, so the trap fires at the same
-  /// byte in every build mode and on both tiers.
-  bool heapBytesOk(uint64_t Incoming) const {
-    return TheHeap.bytesAllocated() + Incoming <= Opts.Limits.MaxBytes;
-  }
 
-  // Out-of-line failure constructors: the hot paths branch to these and
-  // the message strings are only built once a failure is certain.
-  [[gnu::cold]] [[gnu::noinline]] Value failPrimType(Control &C, PrimOp Op,
-                                                     SourceLoc Loc,
-                                                     const char *Expected);
-  [[gnu::cold]] [[gnu::noinline]] Value failBounds(Control &C, SourceLoc Loc,
-                                                   int64_t Index, size_t Size);
-  [[gnu::cold]] [[gnu::noinline]] Value failNoSlot(Control &C, SourceLoc Loc,
-                                                   ClassId Cls,
-                                                   Symbol SlotName);
-  /// Dispatch failed for \p S on the classes in ClassScratch; classifies
-  /// no-applicable-method vs. ambiguous via a (cold) re-dispatch.
-  [[gnu::cold]] [[gnu::noinline]] Value failDispatch(Control &C,
-                                                     const SendExpr *S);
-  [[gnu::cold]] [[gnu::noinline]] Value failNodeBudget(Control &C,
-                                                       SourceLoc Loc);
-  [[gnu::cold]] [[gnu::noinline]] Value failDepth(Control &C, SourceLoc Loc);
-  [[gnu::cold]] [[gnu::noinline]] Value failNativeStack(Control &C,
-                                                        SourceLoc Loc);
-  [[gnu::cold]] [[gnu::noinline]] Value failHeapLimit(Control &C,
-                                                      SourceLoc Loc);
-  [[gnu::cold]] [[gnu::noinline]] Value failMemoryBudget(Control &C,
-                                                         SourceLoc Loc,
-                                                         uint64_t Requested);
-  [[gnu::cold]] [[gnu::noinline]] Value failDeadline(Control &C,
-                                                     SourceLoc Loc);
-  /// An armed failpoint fired at \p Name (an injected internal fault).
-  [[gnu::cold]] [[gnu::noinline]] Value failInjected(Control &C, SourceLoc Loc,
-                                                     const char *Name);
-
-  /// How often chargeNode polls RunOptions::Cancel: every
-  /// (DeadlineCheckMask + 1) evaluated nodes.  8192 keeps the steady-state
-  /// cost to one masked compare per node while bounding deadline overshoot
-  /// to microseconds of interpreter work.
-  static constexpr uint64_t DeadlineCheckMask = 8191;
-
-  /// True when the native C++ stack consumed below the entry point
-  /// exceeds StackBudget.  Backstop for MaxDepth: sanitizer and debug
-  /// builds grow native frames enough that a depth limit calibrated for
-  /// release builds can still overflow the real stack.
-  bool nativeStackLow() const {
-    char Probe;
-    uintptr_t Here = reinterpret_cast<uintptr_t>(&Probe);
-    size_t Used = StackBase >= Here ? StackBase - Here : Here - StackBase;
-    return Used > StackBudget;
-  }
-
-  const CompiledProgram &CP;
-  const Program &P;
-  RunOptions Opts;
-  CostModel Costs;
-  Dispatcher Disp;
-  Heap TheHeap;
-  FramePool Frames;
   /// Shared argument stack; see the invokeMethod comment for discipline.
   std::vector<Value> ArgStack;
-  /// Scratch for per-dispatch class tuples; each use finishes before any
-  /// recursive eval, so a single reused buffer is safe.
-  std::vector<ClassId> ClassScratch;
-  RunStats Stats;
-  RuntimeTrap Trap;
-  std::string Error;
-  uint64_t NextActivation = 1;
-  /// Concurrently-active Mica calls (methods + closures); bounded by
-  /// Opts.Limits.MaxDepth to keep native C++ recursion in check.
-  uint32_t Depth = 0;
-  /// Native-stack backstop: address of a local in the public entry point
-  /// (refreshed by callGeneric) and the bytes of native stack eval may
-  /// consume below it before trapping RecursionLimitExceeded.
-  uintptr_t StackBase = 0;
-  size_t StackBudget;
-  /// Home activation of the code currently executing (the activation a
-  /// boundary-0 return unwinds to).
-  uint64_t CurrentHome = 0;
-  /// Active method invocations, innermost last (for error stack traces).
-  std::vector<MethodId> CallStack;
 };
 
 } // namespace selspec

@@ -622,19 +622,18 @@ bool Optimizer::tryFoldPrim(ExprPtr &E, PrimOp Op) {
   };
 
   switch (Op) {
+  // Int arithmetic goes through intArith, the runtime's own definition.
   case PrimOp::IntAdd:
-    return Ints.size() == 2 && FoldInt(Ints[0] + Ints[1]);
   case PrimOp::IntSub:
-    return Ints.size() == 2 && FoldInt(Ints[0] - Ints[1]);
   case PrimOp::IntMul:
-    return Ints.size() == 2 && FoldInt(Ints[0] * Ints[1]);
+    return Ints.size() == 2 && FoldInt(intArith(Op, Ints[0], Ints[1]));
   case PrimOp::IntDiv:
-    // Folding x/0 would hide the runtime fault; leave it alone.
-    return Ints.size() == 2 && Ints[1] != 0 && FoldInt(Ints[0] / Ints[1]);
   case PrimOp::IntMod:
-    return Ints.size() == 2 && Ints[1] != 0 && FoldInt(Ints[0] % Ints[1]);
+    // Folding x/0 would hide the runtime fault; leave it alone.
+    return Ints.size() == 2 && Ints[1] != 0 &&
+           FoldInt(intArith(Op, Ints[0], Ints[1]));
   case PrimOp::IntNeg:
-    return Ints.size() == 1 && FoldInt(-Ints[0]);
+    return Ints.size() == 1 && FoldInt(intArith(Op, Ints[0], 0));
   case PrimOp::IntLess:
     return Ints.size() == 2 && FoldBool(Ints[0] < Ints[1]);
   case PrimOp::IntLessEq:

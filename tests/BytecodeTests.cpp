@@ -30,6 +30,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <iterator>
 #include <sstream>
 
 using namespace selspec;
@@ -46,8 +48,7 @@ struct TierRun {
   std::string Error;
 };
 
-template <class InterpT> TierRun finish(InterpT &I, bool Ok,
-                                        const std::ostringstream &Out) {
+TierRun finish(RuntimeCore &I, bool Ok, const std::ostringstream &Out) {
   TierRun R;
   R.Ok = Ok;
   R.Stats = I.stats();
@@ -156,9 +157,11 @@ constexpr Config AllConfigs[] = {Config::Base, Config::Cust, Config::CustMM,
 
 /// Builds \p Sources, then for every configuration compiles once and runs
 /// the same CompiledProgram on both tiers, asserting identical results.
-/// Selective gets a profile gathered from a Base run at \p Input.
+/// Selective gets a profile gathered from a Base run at \p Input.  The AST
+/// tier's runs, one per AllConfigs entry, are appended to \p Runs.
 void expectTiersAgree(const std::vector<std::string> &Sources, int64_t Input,
-                      const ResourceLimits &Limits = {}) {
+                      const ResourceLimits &Limits = {},
+                      std::vector<TierRun> *Runs = nullptr) {
   std::unique_ptr<Program> P = buildProgram(Sources);
   ASSERT_TRUE(P);
 
@@ -182,6 +185,8 @@ void expectTiersAgree(const std::vector<std::string> &Sources, int64_t Input,
     TierRun Ast = runAstTier(*CP, Input, Limits);
     TierRun Bc = runBytecodeTier(*CP, Mod, Input, Limits);
     expectSameRun(Ast, Bc, std::string("config ") + configName(C));
+    if (Runs)
+      Runs->push_back(std::move(Ast));
   }
 }
 
@@ -754,6 +759,198 @@ TEST(BytecodeModule, DisassemblerListsFunctionsAndSites) {
   EXPECT_NE(Listing.find("region 0: "), std::string::npos) << Listing;
   EXPECT_NE(Listing.find(" nodes [Seq "), std::string::npos) << Listing;
   EXPECT_NE(Listing.find("VarRef\u00d7"), std::string::npos) << Listing;
+}
+
+//===----------------------------------------------------------------------===//
+// Int arithmetic edges and value rendering: semantics the runtime core
+// defines once for both tiers (and, for Int, for the constant folder).
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs \p Source on both tiers in every configuration and requires each
+/// configuration to print \p Expected.
+void expectOutputEverywhere(const std::string &Source, int64_t Input,
+                            const std::string &Expected) {
+  std::vector<TierRun> Runs;
+  expectTiersAgree({Source}, Input, {}, &Runs);
+  ASSERT_EQ(Runs.size(), std::size(AllConfigs));
+  for (size_t I = 0; I != Runs.size(); ++I) {
+    EXPECT_TRUE(Runs[I].Ok) << Runs[I].Error;
+    EXPECT_EQ(Runs[I].Output, Expected) << configName(AllConfigs[I]);
+  }
+}
+
+/// \p Build is the start of main, leaving an array in `v`.  Runs it once
+/// ending in print(v) and once ending in abort(v), on both tiers in every
+/// configuration, and \p Check vets what print printed.  abort is
+/// declared on Str only: Base traps the send as not understood, while
+/// configurations that bind the lone abort method statically (the value
+/// reaches it through a loop-assigned variable, whose class is unknown)
+/// run the primitive, which must render exactly what print printed.
+void expectRenderedEverywhere(
+    const std::string &Build, int64_t Input,
+    const std::function<void(const std::string &)> &Check) {
+  std::vector<TierRun> Printed, Aborted;
+  expectTiersAgree({"method main(n@Int) {" + Build + " print(v); 0; }"},
+                   Input, {}, &Printed);
+  expectTiersAgree({"method main(n@Int) {" + Build +
+                    " let u := 0; let k := 0;"
+                    " while (k < 1) { u := v; k := k + 1; } abort(u); 0; }"},
+                   Input, {}, &Aborted);
+  ASSERT_EQ(Printed.size(), std::size(AllConfigs));
+  ASSERT_EQ(Aborted.size(), std::size(AllConfigs));
+  size_t Rendered = 0;
+  for (size_t I = 0; I != Printed.size(); ++I) {
+    SCOPED_TRACE(configName(AllConfigs[I]));
+    ASSERT_TRUE(Printed[I].Ok) << Printed[I].Error;
+    ASSERT_FALSE(Printed[I].Output.empty());
+    EXPECT_EQ(Printed[I].Output.back(), '\n');
+    const std::string Text =
+        Printed[I].Output.substr(0, Printed[I].Output.size() - 1);
+    Check(Text);
+    if (Aborted[I].Trap == TrapKind::UserAbort) {
+      ++Rendered;
+      EXPECT_NE(Aborted[I].Error.find("abort: " + Text + " (at line"),
+                std::string::npos);
+    } else {
+      EXPECT_EQ(Aborted[I].Trap, TrapKind::NoApplicableMethod)
+          << Aborted[I].Error;
+    }
+  }
+  EXPECT_GT(Rendered, 0u) << "no configuration reached the abort primitive";
+}
+
+} // namespace
+
+TEST(RuntimeCoreSemantics, IntArithmeticWraps) {
+  // Operands depend on n, so none of this is constant-folded.
+  expectOutputEverywhere(R"(
+    method main(n@Int) {
+      let max := 9223372036854775807 * n;
+      let min := 0 - max - n;
+      print(max + n);
+      print(min - n);
+      print(max * 2);
+      print(neg(min));
+      print(min * (0 - n));
+      0;
+    })",
+                         1,
+                         "-9223372036854775808\n9223372036854775807\n-2\n"
+                         "-9223372036854775808\n-9223372036854775808\n");
+}
+
+TEST(RuntimeCoreSemantics, DivisionAndModuloEdges) {
+  // INT64_MIN / -1 wraps instead of raising SIGFPE; % by -1 is 0; both
+  // truncate toward zero elsewhere.
+  expectOutputEverywhere(R"(
+    method main(n@Int) {
+      let min := 0 - 9223372036854775807 - n;
+      print(min / (0 - n));
+      print(min % (0 - n));
+      print((0 - 7) / (n + 1));
+      print((0 - 7) % (n + 1));
+      print(7 / (0 - 2 * n));
+      0;
+    })",
+                         1, "-9223372036854775808\n0\n-3\n-1\n-3\n");
+}
+
+TEST(RuntimeCoreSemantics, FoldedAndUnfoldedArithmeticAgree) {
+  // The same expressions over literals (folded at compile time) and over
+  // values derived from n (computed at run time) print the same.
+  const std::string Expected = "-9223372036854775808\n0\n"
+                               "-9223372036854775808\n9223372036854775807\n"
+                               "-9223372036854775808\n-2\n";
+  const std::string Folded = R"(
+    method main(n@Int) {
+      print((0 - 9223372036854775807 - 1) / (0 - 1));
+      print((0 - 9223372036854775807 - 1) % (0 - 1));
+      print(neg(0 - 9223372036854775807 - 1));
+      print(0 - 9223372036854775807 - 1 - 1);
+      print(9223372036854775807 + 1);
+      print(9223372036854775807 * 2);
+      0;
+    })";
+  const std::string Unfolded = R"(
+    method main(n@Int) {
+      print((0 - 9223372036854775807 - n) / (0 - n));
+      print((0 - 9223372036854775807 - n) % (0 - n));
+      print(neg(0 - 9223372036854775807 - n));
+      print(0 - 9223372036854775807 - n - n);
+      print(9223372036854775807 + n);
+      print(9223372036854775807 * (n + 1));
+      0;
+    })";
+  expectOutputEverywhere(Folded, 1, Expected);
+  expectOutputEverywhere(Unfolded, 1, Expected);
+
+  // The literal program really is folded: every print argument becomes a
+  // literal, and turning folding off computes the same output at run time.
+  std::unique_ptr<Program> P = buildProgram({Folded});
+  ASSERT_TRUE(P);
+  for (bool Fold : {true, false}) {
+    ApplicableClassesAnalysis AC(*P);
+    PassThroughAnalysis PT(*P);
+    SpecializationPlan Plan = makePlan(Config::Base, *P, AC, PT, nullptr);
+    OptimizerOptions OptOpts;
+    OptOpts.EnableConstantFolding = Fold;
+    Optimizer Opt(*P, AC, OptOpts);
+    std::unique_ptr<CompiledProgram> CP = Opt.compile(Plan);
+    ASSERT_TRUE(CP);
+    if (Fold)
+      EXPECT_GE(Opt.stats().ConstantsFolded, 6u);
+    else
+      EXPECT_EQ(Opt.stats().ConstantsFolded, 0u);
+    BcModule Mod = compileToBytecode(*CP);
+    ASSERT_TRUE(Mod.Ok) << Mod.Error;
+    TierRun Ast = runAstTier(*CP, 1);
+    TierRun Bc = runBytecodeTier(*CP, Mod, 1);
+    expectSameRun(Ast, Bc, Fold ? "folded" : "unfolded");
+    EXPECT_EQ(Ast.Output, Expected) << (Fold ? "folded" : "unfolded");
+  }
+}
+
+TEST(RuntimeCoreSemantics, SelfCycleRendersBackReference) {
+  expectRenderedEverywhere("let v := array(1); atPut(v, 0, v);", 0,
+                           [](const std::string &R) {
+                             EXPECT_EQ(R, "[[...]]");
+                           });
+}
+
+TEST(RuntimeCoreSemantics, TwoArrayCycleRendersBackReference) {
+  expectRenderedEverywhere(
+      "let v := array(2); let w := array(1);"
+      " atPut(v, 0, w); atPut(v, 1, n); atPut(w, 0, v);",
+      7, [](const std::string &R) { EXPECT_EQ(R, "[[[...]], 7]"); });
+}
+
+TEST(RuntimeCoreSemantics, DeepChainRenderingIsDepthBounded) {
+  const unsigned Depth = RuntimeCore::MaxRenderDepth;
+  const std::string Expected =
+      std::string(Depth, '[') + "[...]" + std::string(Depth, ']');
+  expectRenderedEverywhere(
+      "let v := array(1); let cur := v; let i := 0;"
+      " while (i < n) { let next := array(1); atPut(cur, 0, next);"
+      " cur := next; i := i + 1; }",
+      100000, [&](const std::string &R) { EXPECT_EQ(R, Expected); });
+}
+
+TEST(RuntimeCoreSemantics, SharedSubarrayRenderingIsLengthBounded) {
+  // 40 levels of [x, x] sharing: the full rendering would take 2^40
+  // leaves.  Output stops shortly past MaxRenderBytes with a `...` marker.
+  expectRenderedEverywhere(
+      "let v := array(2); atPut(v, 0, n); atPut(v, 1, n); let i := 0;"
+      " while (i < 40) { let w := array(2); atPut(w, 0, v); atPut(w, 1, v);"
+      " v := w; i := i + 1; }",
+      3, [](const std::string &R) {
+        EXPECT_GE(R.size(), RuntimeCore::MaxRenderBytes);
+        EXPECT_LE(R.size(), RuntimeCore::MaxRenderBytes + 1024);
+        EXPECT_EQ(R.compare(0, 4, "[[[["), 0);
+        EXPECT_NE(R.find("[3, 3]"), std::string::npos);
+        EXPECT_NE(R.find(", ...]"), std::string::npos);
+      });
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,13 +5,16 @@
 //===----------------------------------------------------------------------===//
 //
 // Every TrapKind, the resource guards, profile-database robustness, and the
-// Selective -> CHA degradation on missing/stale profiles.
+// Selective -> CHA degradation on missing/stale profiles.  Every trap is
+// raised on both execution tiers, which must agree on it exactly.
 //
 //===----------------------------------------------------------------------===//
 
 #include "interp/RuntimeTrap.h"
 
 #include "TestUtil.h"
+#include "bytecode/BytecodeCompiler.h"
+#include "bytecode/BytecodeInterpreter.h"
 #include "profile/ProfileDb.h"
 
 #include <cstdio>
@@ -23,8 +26,53 @@ using namespace selspec::test;
 
 namespace {
 
-/// Runs `main(Input)` under Base with \p Limits and returns the trap
-/// (Kind == None when the run completed).
+/// Runs `main(Input)` of \p CP on a fresh interpreter of each tier, AST
+/// first, and hands each finished interpreter to \p Check.
+template <class CheckT>
+void onBothTiers(const CompiledProgram &CP, int64_t Input,
+                 const RunOptions &Opts, CheckT Check) {
+  Interpreter Ast(CP, Opts);
+  Check(Ast, Ast.callMain(Input), "ast");
+  BcModule Mod = compileToBytecode(CP);
+  ASSERT_TRUE(Mod.Ok) << Mod.Error;
+  BytecodeInterpreter Bc(CP, Mod, Opts);
+  Check(Bc, Bc.callMain(Input), "bytecode");
+}
+
+/// The native-stack backstop fires at a depth set by each tier's native
+/// frame sizes, so only its kind is tier-invariant.
+bool isNativeStackTrap(const RuntimeTrap &T) {
+  return T.Kind == TrapKind::RecursionLimitExceeded &&
+         T.Message.find("native stack") != std::string::npos;
+}
+
+/// Runs `main(Input)` of \p CP on both tiers and returns the AST tier's
+/// trap (Kind == None when the run completed), after checking that the
+/// bytecode tier raised the same one: kind, location, message, backtrace
+/// and elided-frame count.
+RuntimeTrap trapOnBothTiers(const CompiledProgram &CP, int64_t Input = 0,
+                            const RunOptions &Opts = {}) {
+  std::vector<RuntimeTrap> Traps;
+  onBothTiers(CP, Input, Opts, [&](RuntimeCore &I, bool, const char *) {
+    Traps.push_back(I.trap());
+  });
+  if (Traps.size() != 2)
+    return Traps.empty() ? RuntimeTrap() : Traps.front();
+  const RuntimeTrap &Ast = Traps[0], &Bc = Traps[1];
+  EXPECT_EQ(Ast.Kind, Bc.Kind) << "ast: " << Ast.render()
+                               << "\nbytecode: " << Bc.render();
+  if (!isNativeStackTrap(Ast) && !isNativeStackTrap(Bc)) {
+    EXPECT_EQ(Ast.Loc.Line, Bc.Loc.Line);
+    EXPECT_EQ(Ast.Loc.Col, Bc.Loc.Col);
+    EXPECT_EQ(Ast.Message, Bc.Message);
+    EXPECT_EQ(Ast.Backtrace, Bc.Backtrace);
+    EXPECT_EQ(Ast.FramesElided, Bc.FramesElided);
+  }
+  return Ast;
+}
+
+/// Runs `main(Input)` under Base with \p Limits on both tiers and returns
+/// the (tier-invariant) trap; Kind == None when the run completed.
 RuntimeTrap runForTrap(const std::string &Source, int64_t Input = 0,
                        ResourceLimits Limits = {}) {
   std::unique_ptr<Program> P = buildProgram({Source});
@@ -33,9 +81,7 @@ RuntimeTrap runForTrap(const std::string &Source, int64_t Input = 0,
   std::unique_ptr<CompiledProgram> CP = compileProgram(*P, Config::Base);
   RunOptions Opts;
   Opts.Limits = Limits;
-  Interpreter I(*CP, Opts);
-  I.callMain(Input);
-  return I.trap();
+  return trapOnBothTiers(*CP, Input, Opts);
 }
 
 void expectTrap(const std::string &Source, TrapKind Kind,
@@ -167,22 +213,26 @@ TEST(Trap, DeepRecursionTrapsInsteadOfNativeOverflow) {
   )"});
   ASSERT_TRUE(P);
   std::unique_ptr<CompiledProgram> CP = compileProgram(*P, Config::Base);
-  Interpreter I(*CP);
-  EXPECT_FALSE(I.callMain(10000000));
-  const RuntimeTrap &T = I.trap();
-  EXPECT_EQ(T.Kind, TrapKind::RecursionLimitExceeded) << T.render();
-  // Default MaxDepth is 800; in builds whose native frames outgrow it
-  // (sanitizers), the native-stack backstop fires earlier.  Either way
-  // the kind is RecursionLimitExceeded and the depth never exceeds 800.
-  EXPECT_LE(I.stats().PeakDepth, ResourceLimits().MaxDepth);
-  EXPECT_GT(I.stats().PeakDepth, 100u);
-  // Backtrace is capped with an elision marker, innermost frame first.
-  EXPECT_EQ(T.Backtrace.size(), RuntimeTrap::MaxBacktraceFrames);
-  EXPECT_GT(T.FramesElided, 0u);
-  EXPECT_NE(T.Backtrace.front().find("f(Int)"), std::string::npos);
-  std::string Rendered = T.render();
-  EXPECT_NE(Rendered.find("in f(Int)"), std::string::npos);
-  EXPECT_NE(Rendered.find("more frame(s)"), std::string::npos);
+  trapOnBothTiers(*CP, 10000000);
+  onBothTiers(*CP, 10000000, {}, [](RuntimeCore &I, bool Ok,
+                                    const char *Tier) {
+    SCOPED_TRACE(Tier);
+    EXPECT_FALSE(Ok);
+    const RuntimeTrap &T = I.trap();
+    EXPECT_EQ(T.Kind, TrapKind::RecursionLimitExceeded) << T.render();
+    // Default MaxDepth is 800; in builds whose native frames outgrow it
+    // (sanitizers), the native-stack backstop fires earlier.  Either way
+    // the kind is RecursionLimitExceeded and the depth never exceeds 800.
+    EXPECT_LE(I.stats().PeakDepth, ResourceLimits().MaxDepth);
+    EXPECT_GT(I.stats().PeakDepth, 100u);
+    // Backtrace is capped with an elision marker, innermost frame first.
+    EXPECT_EQ(T.Backtrace.size(), RuntimeTrap::MaxBacktraceFrames);
+    EXPECT_GT(T.FramesElided, 0u);
+    EXPECT_NE(T.Backtrace.front().find("f(Int)"), std::string::npos);
+    std::string Rendered = T.render();
+    EXPECT_NE(Rendered.find("in f(Int)"), std::string::npos);
+    EXPECT_NE(Rendered.find("more frame(s)"), std::string::npos);
+  });
 }
 
 TEST(Trap, RecursionLimitIsConfigurable) {
@@ -240,9 +290,7 @@ TEST(Trap, BacktraceNamesCallChain) {
   NoInline.EnableInlining = false;
   std::unique_ptr<CompiledProgram> CP =
       compileProgram(*P, Config::Base, nullptr, {}, NoInline);
-  Interpreter I(*CP);
-  EXPECT_FALSE(I.callMain(3));
-  const RuntimeTrap &T = I.trap();
+  RuntimeTrap T = trapOnBothTiers(*CP, 3);
   ASSERT_EQ(T.Kind, TrapKind::DivisionByZero);
   ASSERT_GE(T.Backtrace.size(), 3u);
   EXPECT_NE(T.Backtrace[0].find("inner(Int)"), std::string::npos);

@@ -163,8 +163,7 @@ struct TierResult {
   RunStats Stats;
 };
 
-template <class InterpT>
-TierResult runOneTier(InterpT &I, int64_t Input,
+TierResult runOneTier(RuntimeCore &I, int64_t Input,
                       const std::ostringstream &Out) {
   TierResult R;
   R.Ok = I.callMain(Input);

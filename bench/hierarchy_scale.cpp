@@ -153,12 +153,15 @@ int main() {
 
     // Compressed dispatch tables over every generic, plus a direct
     // lookup microloop cycling the megamorphic receivers through g0.
-    DispatchTableSet Tables(P);
-    Row.TableCells = Tables.totalCells();
-    Row.TableUncompressedCells = Tables.totalUncompressedCells();
+    DispatchTables Tables(P);
+    for (unsigned GI = 0; GI != P.numGenerics(); ++GI) {
+      const DispatchTable &T = Tables.table(GenericId(GI));
+      Row.TableCells += T.tableSize();
+      Row.TableUncompressedCells += T.uncompressedSize();
+    }
     {
       GenericId G = P.lookupGeneric(P.Syms.find("g0"), 1);
-      const DispatchTable &T = Tables.forGeneric(G);
+      const DispatchTable &T = Tables.table(G);
       std::vector<std::vector<ClassId>> Cases;
       for (unsigned J = 0;; ++J) {
         ClassId C = H.lookup(P.Syms.find("H" + std::to_string(J)));

@@ -164,9 +164,10 @@ void BM_EndToEndDispatchRichards(benchmark::State &State) {
 BENCHMARK(BM_EndToEndDispatchRichards)->Arg(0)->Arg(1);
 
 void BM_EndToEndDispatchRichardsBytecode(benchmark::State &State) {
-  // Same run on the bytecode tier: per-site inline caches replace the
-  // dispatcher's PIC probe on the hot path, so the Base-vs-Selective gap
-  // here isolates what specialization still buys once sends are cached.
+  // Same run on the bytecode tier: per-site inline caches missing into
+  // the dispatch tables replace the dispatcher's PIC and memo, so the
+  // Base-vs-Selective gap here isolates what specialization still buys
+  // once sends are cached.
   std::string Err;
   std::unique_ptr<Workbench> W =
       Workbench::fromFiles({"richards.mica"}, Err);

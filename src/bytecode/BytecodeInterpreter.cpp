@@ -11,15 +11,17 @@
 // because the differential tests require RunStats to be bit-identical
 // between the tiers.  When editing either tier's walk, update the other.
 //
-// Two pieces of machinery are new.  The per-site inline cache: before
-// falling back to the Dispatcher's PIC/memo lookup, a call instruction
-// probes the BcIcEntry slots baked into its BcSite.  A hit must return
-// exactly what the dispatcher would have (the program is immutable during
-// a run), so the substitution is invisible to RunStats; SELSPEC_IC_AUDIT=1
-// re-verifies every hit against ground-truth dispatch and counts
-// `bytecode.ic_misdispatch`.  And region charging: the AST walker's
-// per-node chargeNode() is applied a charge region at a time (see
-// execute()), which reaches the same RunStats and the same traps.
+// Two pieces of machinery are new.  The per-site inline cache: a call
+// instruction probes the BcIcEntry slots of its site's side-table entry,
+// and a miss reads the snapshot's shared compressed dispatch table
+// (DispatchTables) directly; the AST tier's PICs and memo are not on
+// this path.  A hit must return exactly what dispatch would have (the
+// program is immutable during a run), so the substitution is invisible
+// to RunStats; SELSPEC_IC_AUDIT=1 re-verifies every hit and every table
+// answer against Program::dispatch and counts `bytecode.ic_misdispatch`.
+// And region charging: the AST walker's per-node chargeNode() is applied
+// a charge region at a time (see execute()), which reaches the same
+// RunStats and the same traps.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,8 +43,9 @@ metrics::Counter CtrInsnsDispatched("bytecode.insns_dispatched");
 BytecodeInterpreter::BytecodeInterpreter(const CompiledProgram &CP,
                                          const BcModule &Mod, RunOptions Opts,
                                          CostModel Costs)
-    : RuntimeCore(CP, Opts, Costs), Mod(Mod), IcTable(Mod.NumIcSlots),
-      SlotCaches(Mod.NumSlotCacheSlots), RegionHits(Mod.NumChargeRegions) {
+    : RuntimeCore(CP, Opts, Costs), Mod(Mod), Tables(Disp.tables()),
+      IcTable(Mod.NumIcSlots), SlotCaches(Mod.NumSlotCacheSlots),
+      RegionHits(Mod.NumChargeRegions) {
   assert(Mod.Ok && "executing a module that failed to compile");
   const char *Audit = std::getenv("SELSPEC_IC_AUDIT");
   IcAudit = Audit && Audit[0] && !(Audit[0] == '0' && Audit[1] == '\0');
@@ -129,6 +132,24 @@ bool BytecodeInterpreter::icFind(const BcSite &Site, MethodId &Target,
   return false;
 }
 
+bool BytecodeInterpreter::icMiss(const BcSite &Site, MethodId &Target,
+                                 int &Version) {
+  const GenericId G = Site.S->Generic;
+  Target = Tables.dispatch(G, ClassScratch);
+  if (IcAudit) {
+    MethodId Real = P.dispatch(G, ClassScratch);
+    if (Real != Target) {
+      ++IcMisdispatches;
+      Target = Real;
+    }
+  }
+  if (!Target.isValid())
+    return false;
+  Version = CP.selectVersion(Target, ClassScratch);
+  icInsert(Site, Target, Version);
+  return true;
+}
+
 void BytecodeInterpreter::icInsert(const BcSite &Site, MethodId Target,
                                    int Version) {
   const size_t N = ClassScratch.size();
@@ -164,13 +185,8 @@ Value BytecodeInterpreter::callDyn(const BcSite &Site, Value *Args, size_t N,
 
   MethodId Target;
   int Version = -1;
-  if (!icFind(Site, Target, Version)) {
-    Target = Disp.lookup(S->Generic, ClassScratch, S->Site);
-    if (!Target.isValid())
-      return failDispatch(C, S);
-    Version = CP.selectVersion(Target, ClassScratch);
-    icInsert(Site, Target, Version);
-  }
+  if (!icFind(Site, Target, Version) && !icMiss(Site, Target, Version))
+    return failDispatch(C, S);
 
   recordArc(S->Site, Target);
   ++Stats.DynamicDispatches;
@@ -227,18 +243,13 @@ Value BytecodeInterpreter::callFeedback(const BcSite &Site, Value *Args, size_t 
   const SendExpr *S = Site.S;
   gatherClasses(Args, N);
   // The modeled machine executes an inline-cache class test; here the
-  // test is the baked-in IC probe itself (dispatcher on a miss).
+  // test is the baked-in IC probe itself (the dispatch table on a miss).
   Stats.Cycles += Costs.PredictTestCost;
 
   MethodId Real;
   int Version = -1;
-  if (!icFind(Site, Real, Version)) {
-    Real = Disp.lookup(S->Generic, ClassScratch, S->Site);
-    if (!Real.isValid())
-      return failDispatch(C, S);
-    Version = CP.selectVersion(Real, ClassScratch);
-    icInsert(Site, Real, Version);
-  }
+  if (!icFind(Site, Real, Version) && !icMiss(Site, Real, Version))
+    return failDispatch(C, S);
 
   recordArc(S->Site, Real);
   if (Real == S->Binding.Target) {

@@ -12,16 +12,17 @@
 /// the driver selects a tier without caring which one runs.  This class
 /// adds only how bytecode runs: the dispatch loop (computed goto under
 /// GCC/Clang, a switch elsewhere), the call-instruction family with its
-/// per-thread inline caches in front of the Dispatcher, and charge
-/// regions.  The AST walker charges every node as it goes; this tier
-/// charges a whole charge region when it enters one (an add and a compare
-/// against the next node budget or deadline-poll threshold), steps through
-/// the region's charge points one by one only when that threshold falls
-/// inside it, and gives back the unreached points when an instruction
-/// traps mid-region.  NodeMix and the node share of Cycles are folded in
-/// from per-region entry counts when a job ends, so RunStats are
-/// bit-identical across tiers, which tests/BytecodeTests.cpp enforces
-/// differentially.
+/// per-thread inline caches, whose misses read the shared compressed
+/// dispatch tables (DispatchTables) directly, never the AST tier's
+/// Dispatcher PICs and memo, and charge regions.  The AST walker charges
+/// every node as it goes; this tier charges a whole charge region when it
+/// enters one (an add and a compare against the next node budget or
+/// deadline-poll threshold), steps through the region's charge points one
+/// by one only when that threshold falls inside it, and gives back the
+/// unreached points when an instruction traps mid-region.  NodeMix and
+/// the node share of Cycles are folded in from per-region entry counts
+/// when a job ends, so RunStats are bit-identical across tiers, which
+/// tests/BytecodeTests.cpp enforces differentially.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,9 +41,10 @@ class BytecodeInterpreter final : public RuntimeCore {
 public:
   /// \p Mod must be the compilation of \p CP (see compileToBytecode) and
   /// must outlive the interpreter.  Both are shared, never mutated: all
-  /// adaptive state (inline caches, slot caches, dispatcher memo/PICs)
-  /// lives in per-interpreter side-tables, so any number of concurrent
-  /// interpreters may execute one (CP, Mod) snapshot.
+  /// adaptive state (inline caches, slot caches) lives in per-interpreter
+  /// side-tables, and the dispatch tables a miss reads are published once
+  /// per generic, so any number of concurrent interpreters may execute
+  /// one (CP, Mod) snapshot.
   BytecodeInterpreter(const CompiledProgram &CP, const BcModule &Mod,
                       RunOptions Opts = {}, CostModel Costs = {});
 
@@ -84,6 +86,11 @@ private:
   /// hits are re-verified against full dispatch
   /// (`bytecode.ic_misdispatch`).
   bool icFind(const BcSite &Site, MethodId &Target, int &Version);
+  /// The miss path of callDyn and callFeedback: reads the site's generic's
+  /// dispatch table (re-derived from Program::dispatch under
+  /// SELSPEC_IC_AUDIT=1, divergences counted as misdispatches), selects
+  /// the version and fills the IC.  False when no method applies.
+  bool icMiss(const BcSite &Site, MethodId &Target, int &Version);
   void icInsert(const BcSite &Site, MethodId Target, int Version);
 
   /// The smallest node count past \p Nodes at which a charge traps or
@@ -117,6 +124,9 @@ private:
   };
 
   const BcModule &Mod;
+  /// The dispatch tables IC misses read: the snapshot's shared ones, or
+  /// the Dispatcher's own when RunOptions::Tables is null.
+  const DispatchTables &Tables;
   /// Per-thread IC side-tables (the module itself is immutable and
   /// shared): sized once from Mod.NumIcSlots / Mod.NumSlotCacheSlots.
   std::vector<IcSlotState> IcTable;
@@ -134,7 +144,8 @@ private:
   uint64_t IcHits = 0;
   uint64_t IcMisses = 0;
   uint64_t IcMisdispatches = 0;
-  /// SELSPEC_IC_AUDIT=1: re-verify every IC hit against full dispatch.
+  /// SELSPEC_IC_AUDIT=1: re-verify every IC hit and every table answer
+  /// against Program::dispatch.
   bool IcAudit = false;
 };
 

@@ -59,8 +59,9 @@ CompiledSnapshot::run(int64_t Input, const JobOptions &Opts) const {
   // Live-profiling jobs record arcs into the result's own CallGraph;
   // unsampled jobs pay nothing (a null Profile is one branch per send).
   RO.Profile = Opts.CollectArcs ? &J.Arcs : nullptr;
-  // The whole point: the interpreter below is a per-thread cache over
-  // this snapshot's shared tables, not an owner of fresh ones.
+  // The whole point: the interpreter below reads this snapshot's shared
+  // dispatch tables (built lazily, once per generic) instead of owning
+  // fresh ones.
   RO.Tables = Tables.get();
 
   auto Measure = [&](RuntimeCore &I) {

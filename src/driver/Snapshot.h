@@ -8,18 +8,20 @@
 /// The compile-once/run-many boundary of the serving story.  A
 /// CompiledSnapshot bundles everything a measured run needs — the
 /// optimized CompiledProgram, its bytecode module (when the tier allows),
-/// and the immutable DispatchTables — behind a const surface, so one
-/// snapshot can execute any number of jobs on any number of threads
-/// concurrently.  The immutability contract (DESIGN.md section 11):
+/// and the DispatchTables — behind a const surface, so one snapshot can
+/// execute any number of jobs on any number of threads concurrently.
+/// The immutability contract (DESIGN.md section 11):
 ///
 ///   - shared and read-only: Program/AST, CompiledProgram bodies and
-///     layouts, BcModule instruction streams and site tables,
-///     DispatchTables;
+///     layouts, BcModule instruction streams and site tables, and every
+///     published dispatch table;
 ///   - per-thread, created per job by run(): Interpreter or
 ///     BytecodeInterpreter with its FramePool, argument stack, Heap,
-///     Dispatcher memo/PIC cache, and bytecode IC side-tables;
-///   - the one documented exception: CompiledProgram's atomic invoked
-///     bits (monotonic relaxed stores, Figure 6 accounting).
+///     bytecode IC side-tables, and (AST tier) Dispatcher memo/PIC cache;
+///   - the two documented exceptions: CompiledProgram's atomic invoked
+///     bits (monotonic relaxed stores, Figure 6 accounting), and each
+///     generic's one-time dispatch-table publication at its first lookup
+///     (an atomic pointer, written once under a mutex).
 ///
 /// A job's RunStats are bit-identical to a single-threaded run of the
 /// same job because no adaptive state crosses threads (enforced by

@@ -31,6 +31,7 @@
 #include "support/ClassSet.h"
 #include "support/Ids.h"
 
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -117,6 +118,21 @@ public:
   unsigned coneIntervalCount(ClassId C) const {
     requireFinalized("coneIntervalCount");
     return ConeBegin[C.value() + 1] - ConeBegin[C.value()];
+  }
+
+  /// The preorder intervals themselves: half-open, sorted and disjoint
+  /// (sweeping them classifies every class at once; see DispatchTable).
+  std::span<const ClassSet::Range> coneIntervals(ClassId C) const {
+    requireFinalized("coneIntervals");
+    return {ConePool.data() + ConeBegin[C.value()],
+            ConePool.data() + ConeBegin[C.value() + 1]};
+  }
+
+  /// The class numbered \p Pre in DFS preorder (inverse of the numbering
+  /// coneIntervals() is expressed in).
+  ClassId classAtPreorder(uint32_t Pre) const {
+    requireFinalized("classAtPreorder");
+    return ClassId(ClassAtPre[Pre]);
   }
 
   /// Total bytes of the preorder/cone-interval index (the hierarchy-scale

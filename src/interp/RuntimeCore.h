@@ -88,10 +88,11 @@ struct RunOptions {
   /// DeadlineExceeded.  Null disables the checks beyond one predictable
   /// branch per node.
   const CancelToken *Cancel = nullptr;
-  /// Shared immutable dispatch tables (a CompiledSnapshot's).  When set,
-  /// the interpreter's Dispatcher becomes a per-thread cache over them
-  /// instead of owning its own; lookup results are identical either way.
-  /// Must outlive the interpreter.
+  /// Shared dispatch tables (a CompiledSnapshot's).  When set, bytecode
+  /// IC misses read them and the AST tier's Dispatcher becomes a
+  /// per-thread cache over them; when null the Dispatcher owns tables of
+  /// its own.  Lookup results are identical either way.  Must outlive the
+  /// interpreter.
   const DispatchTables *Tables = nullptr;
 };
 

@@ -9,25 +9,94 @@
 #include "support/FailPoint.h"
 #include "support/Metrics.h"
 
+#include <algorithm>
 #include <map>
 
 using namespace selspec;
 
-static metrics::Counter &tableFallbacks() {
-  static metrics::Counter &C = metrics::named("dispatch.table_fallbacks");
-  return C;
+namespace {
+
+metrics::Counter CtrTablesBuilt("dispatch.tables_built");
+metrics::Counter CtrTableCells("dispatch.table_cells");
+metrics::Counter CtrTableFallbacks("dispatch.table_fallbacks");
+
+/// Partitions the classes by applicability pattern at argument position
+/// \p ArgPos of \p Info (two classes that are subclasses of exactly the
+/// same specializers dispatch identically there).  The pattern only
+/// changes at a boundary of some specializer's cone interval, so one
+/// sweep over the sorted boundaries in preorder space yields a pattern
+/// per segment, and each segment's classes are assigned in one pass.
+/// Fills \p GroupOf (indexed by ClassId) and one representative class per
+/// group, in order of first preorder appearance; returns the group count.
+uint32_t groupClasses(const Program &P, const GenericInfo &Info,
+                      unsigned ArgPos, std::vector<uint32_t> &GroupOf,
+                      std::vector<ClassId> &Representatives) {
+  const ClassHierarchy &H = P.Classes;
+  std::vector<ClassId> Specs;
+  for (MethodId M : Info.Methods)
+    Specs.push_back(P.method(M).Specializers[ArgPos]);
+  std::sort(Specs.begin(), Specs.end());
+  Specs.erase(std::unique(Specs.begin(), Specs.end()), Specs.end());
+
+  struct Boundary {
+    uint32_t At;
+    uint32_t Spec;
+    bool Enters;
+  };
+  std::vector<Boundary> Bounds;
+  for (uint32_t S = 0; S != Specs.size(); ++S)
+    for (const ClassSet::Range &Rg : H.coneIntervals(Specs[S])) {
+      Bounds.push_back({Rg.Lo, S, true});
+      Bounds.push_back({Rg.Hi, S, false});
+    }
+  std::sort(Bounds.begin(), Bounds.end(),
+            [](const Boundary &A, const Boundary &B) { return A.At < B.At; });
+
+  // Depth counts a specializer's open intervals, so the order of
+  // boundaries sharing a point does not matter.
+  std::vector<uint32_t> Depth(Specs.size(), 0);
+  std::vector<uint64_t> Pattern((Specs.size() + 63) / 64, 0);
+  std::map<std::vector<uint64_t>, uint32_t> Groups;
+  const uint32_t U = H.size();
+  GroupOf.assign(U, 0);
+  size_t Next = 0;
+  for (uint32_t Pos = 0; Pos != U;) {
+    for (; Next != Bounds.size() && Bounds[Next].At == Pos; ++Next) {
+      const Boundary &B = Bounds[Next];
+      if (B.Enters)
+        ++Depth[B.Spec];
+      else
+        --Depth[B.Spec];
+      uint64_t Bit = uint64_t(1) << (B.Spec % 64);
+      if (Depth[B.Spec] != 0)
+        Pattern[B.Spec / 64] |= Bit;
+      else
+        Pattern[B.Spec / 64] &= ~Bit;
+    }
+    const uint32_t End = Next != Bounds.size() ? Bounds[Next].At : U;
+    auto [It, Inserted] =
+        Groups.emplace(Pattern, static_cast<uint32_t>(Groups.size()));
+    if (Inserted)
+      Representatives.push_back(H.classAtPreorder(Pos));
+    for (; Pos != End; ++Pos)
+      GroupOf[H.classAtPreorder(Pos).value()] = It->second;
+  }
+  return static_cast<uint32_t>(Groups.size());
 }
+
+} // namespace
 
 DispatchTable::DispatchTable(const Program &P, GenericId G, size_t CellCap)
     : P(P), G(G) {
   const GenericInfo &Info = P.generic(G);
+  CtrTablesBuilt.add();
 
   // An injected build failure takes the same degradation path as an
   // oversized table: no materialization, lookups answer through
   // Program::dispatch.
   if (failpoint::anyArmed() && failpoint::triggered("dispatch.table-build")) {
     Oversized = true;
-    tableFallbacks().add();
+    CtrTableFallbacks.add();
     return;
   }
 
@@ -39,32 +108,12 @@ DispatchTable::DispatchTable(const Program &P, GenericId G, size_t CellCap)
         break;
       }
 
-  unsigned U = P.Classes.size();
-
-  // Group classes per dispatched position by their applicability pattern:
-  // two classes that are subclasses of exactly the same specializers
-  // dispatch identically at that position.
   GroupOf.resize(Positions.size());
   GroupCount.resize(Positions.size());
   std::vector<std::vector<ClassId>> Representatives(Positions.size());
-  for (size_t PI = 0; PI != Positions.size(); ++PI) {
-    unsigned ArgPos = Positions[PI];
-    GroupOf[PI].assign(U, 0);
-    std::map<std::vector<bool>, uint32_t> Groups;
-    for (unsigned CI = 0; CI != U; ++CI) {
-      std::vector<bool> Pattern;
-      Pattern.reserve(Info.Methods.size());
-      for (MethodId M : Info.Methods)
-        Pattern.push_back(P.Classes.isSubclassOf(
-            ClassId(CI), P.method(M).Specializers[ArgPos]));
-      auto [It, Inserted] = Groups.emplace(
-          std::move(Pattern), static_cast<uint32_t>(Groups.size()));
-      GroupOf[PI][CI] = It->second;
-      if (Inserted)
-        Representatives[PI].push_back(ClassId(CI));
-    }
-    GroupCount[PI] = static_cast<uint32_t>(Groups.size());
-  }
+  for (size_t PI = 0; PI != Positions.size(); ++PI)
+    GroupCount[PI] = groupClasses(P, Info, Positions[PI], GroupOf[PI],
+                                  Representatives[PI]);
 
   // Fill the table by dispatching one representative tuple per cell.
   // Overflow-safe product: a hostile hierarchy can push the cell count
@@ -76,14 +125,14 @@ DispatchTable::DispatchTable(const Program &P, GenericId G, size_t CellCap)
   for (uint32_t GC : GroupCount) {
     if (GC != 0 && Cells > CellCap / GC) {
       Oversized = true;
-      tableFallbacks().add();
+      CtrTableFallbacks.add();
       return;
     }
     Cells *= GC;
   }
   if (Cells > CellCap) {
     Oversized = true;
-    tableFallbacks().add();
+    CtrTableFallbacks.add();
     return;
   }
   Table.assign(Cells, MethodId());
@@ -99,18 +148,7 @@ DispatchTable::DispatchTable(const Program &P, GenericId G, size_t CellCap)
          PI != Cursor.size() && ++Cursor[PI] == GroupCount[PI]; ++PI)
       Cursor[PI] = 0;
   }
-}
-
-MethodId DispatchTable::lookup(const std::vector<ClassId> &ArgClasses) const {
-  if (Oversized)
-    return P.dispatch(G, ArgClasses);
-  size_t Index = 0;
-  size_t Stride = 1;
-  for (size_t PI = 0; PI != Positions.size(); ++PI) {
-    Index += GroupOf[PI][ArgClasses[Positions[PI]].value()] * Stride;
-    Stride *= GroupCount[PI];
-  }
-  return Table[Index];
+  CtrTableCells.add(Cells);
 }
 
 size_t DispatchTable::uncompressedSize() const {
@@ -120,24 +158,26 @@ size_t DispatchTable::uncompressedSize() const {
   return N;
 }
 
-DispatchTableSet::DispatchTableSet(const Program &P) {
-  Tables.reserve(P.numGenerics());
-  for (unsigned GI = 0; GI != P.numGenerics(); ++GI)
-    Tables.emplace_back(P, GenericId(GI));
-  static metrics::Counter &TableCells = metrics::named("dispatch.table_cells");
-  TableCells.set(totalCells());
+DispatchTables::DispatchTables(const Program &P)
+    : P(P), NumGenerics(P.numGenerics()),
+      Published(new std::atomic<const DispatchTable *>[NumGenerics]) {
+  for (unsigned GI = 0; GI != NumGenerics; ++GI)
+    Published[GI].store(nullptr, std::memory_order_relaxed);
 }
 
-size_t DispatchTableSet::totalCells() const {
-  size_t N = 0;
-  for (const DispatchTable &T : Tables)
-    N += T.tableSize();
-  return N;
+DispatchTables::~DispatchTables() {
+  for (unsigned GI = 0; GI != NumGenerics; ++GI)
+    delete Published[GI].load(std::memory_order_relaxed);
 }
 
-size_t DispatchTableSet::totalUncompressedCells() const {
-  size_t N = 0;
-  for (const DispatchTable &T : Tables)
-    N += T.uncompressedSize();
-  return N;
+const DispatchTable &DispatchTables::build(GenericId G) const {
+  // Builders of different generics serialize too; a build is a one-time
+  // cost per generic, so one lock keeps publication simple.
+  std::lock_guard<std::mutex> Lock(BuildLock);
+  if (const DispatchTable *T =
+          Published[G.value()].load(std::memory_order_relaxed))
+    return *T;
+  const DispatchTable *T = new DispatchTable(P, G);
+  Published[G.value()].store(T, std::memory_order_release);
+  return *T;
 }

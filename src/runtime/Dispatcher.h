@@ -5,30 +5,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runtime method lookup with two levels of caching, mirroring the
-/// mechanisms discussed in Section 3.5 of the paper:
+/// The AST tier's method lookup, with the two levels of caching Section
+/// 3.5 of the paper discusses in front of the compressed tables:
 ///  - per-call-site polymorphic inline caches (PICs, Hölzle et al.),
 ///    extended to multiple dispatched arguments, and
-///  - a global memo table over (generic, argument-class tuple).
-/// A full lookup walks the generic's methods applying the most-specific
-/// applicable rule (Program::dispatch).  Hit/miss statistics feed both the
-/// dispatch-cost microbenchmarks and the profiling-overhead experiment.
+///  - a per-thread memo table over (generic, argument-class tuple).
+/// A full lookup reads the generic's DispatchTable (DispatchTable.h), the
+/// immutable half shared by every thread of a snapshot.  Hit/miss
+/// statistics feed the dispatch-cost microbenchmarks and the
+/// profiling-overhead experiment (§3.5, §3.7.2).
 ///
-/// The machinery is split along the sharing boundary that concurrent
-/// serving needs: DispatchTables is the immutable half (the dispatch rule
-/// over an immutable Program — owned by a CompiledSnapshot, built once,
-/// safely shared by any number of threads), while Dispatcher is the
-/// adaptive per-thread half (PIC sites, memo table, statistics) layered
-/// over a DispatchTables it does not own.  Nothing in a lookup ever
-/// writes through the tables, so concurrent Dispatchers never share
-/// mutable state.
+/// The bytecode tier does not use this class: its per-site inline caches
+/// miss straight into the shared tables, so the PICs and the memo live
+/// only here, one Dispatcher per AST interpreter, never shared.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SELSPEC_RUNTIME_DISPATCHER_H
 #define SELSPEC_RUNTIME_DISPATCHER_H
 
-#include "hierarchy/Program.h"
+#include "runtime/DispatchTable.h"
 
 #include <memory>
 #include <unordered_map>
@@ -36,29 +32,8 @@
 
 namespace selspec {
 
-/// The immutable half of dispatch: the most-specific-applicable rule over
-/// a resolved Program.  Instances are logically const after construction
-/// — dispatch() never mutates — so one DispatchTables can back the
-/// per-thread Dispatchers of every serving thread simultaneously.
-class DispatchTables {
-public:
-  explicit DispatchTables(const Program &P) : P(P) {}
-
-  const Program &program() const { return P; }
-
-  /// Full multi-method lookup (Program::dispatch): the authoritative,
-  /// cache-free answer every cache layer above must agree with.
-  MethodId dispatch(GenericId G,
-                    const std::vector<ClassId> &ArgClasses) const {
-    return P.dispatch(G, ArgClasses);
-  }
-
-private:
-  const Program &P;
-};
-
 /// The adaptive, per-thread half of dispatch: PICs + memo + statistics
-/// over a shared immutable DispatchTables.
+/// over a shared DispatchTables.
 class Dispatcher {
 public:
   /// \p PicCapacity bounds each call site's inline cache; sites that

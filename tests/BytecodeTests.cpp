@@ -118,30 +118,6 @@ TierRun runCancelledOnPrint(CompiledProgram &CP, int64_t Input,
   return R;
 }
 
-/// Asserts every RunStats field matches, NodeMix bucket by bucket.
-void expectSameStats(const RunStats &Ast, const RunStats &Bc,
-                     const std::string &Label) {
-  EXPECT_EQ(Ast.DynamicDispatches, Bc.DynamicDispatches) << Label;
-  EXPECT_EQ(Ast.VersionSelects, Bc.VersionSelects) << Label;
-  EXPECT_EQ(Ast.StaticCalls, Bc.StaticCalls) << Label;
-  EXPECT_EQ(Ast.InlinePrims, Bc.InlinePrims) << Label;
-  EXPECT_EQ(Ast.PredictedHits, Bc.PredictedHits) << Label;
-  EXPECT_EQ(Ast.PredictedMisses, Bc.PredictedMisses) << Label;
-  EXPECT_EQ(Ast.FeedbackHits, Bc.FeedbackHits) << Label;
-  EXPECT_EQ(Ast.FeedbackMisses, Bc.FeedbackMisses) << Label;
-  EXPECT_EQ(Ast.ClosuresCreated, Bc.ClosuresCreated) << Label;
-  EXPECT_EQ(Ast.ClosureCalls, Bc.ClosureCalls) << Label;
-  EXPECT_EQ(Ast.Allocations, Bc.Allocations) << Label;
-  EXPECT_EQ(Ast.MethodInvocations, Bc.MethodInvocations) << Label;
-  EXPECT_EQ(Ast.NodesEvaluated, Bc.NodesEvaluated) << Label;
-  EXPECT_EQ(Ast.PeakDepth, Bc.PeakDepth) << Label;
-  EXPECT_EQ(Ast.Cycles, Bc.Cycles) << Label;
-  for (size_t K = 0; K != Expr::NumKinds; ++K)
-    EXPECT_EQ(Ast.NodeMix[K], Bc.NodeMix[K])
-        << Label << " NodeMix["
-        << exprKindName(static_cast<Expr::Kind>(K)) << ']';
-}
-
 void expectSameRun(const TierRun &Ast, const TierRun &Bc,
                    const std::string &Label) {
   EXPECT_EQ(Ast.Ok, Bc.Ok) << Label << "\n  ast: " << Ast.Error

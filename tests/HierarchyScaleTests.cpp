@@ -14,22 +14,30 @@
 /// the all-build-modes finalize trap, the Rng rejection-sampling rewrite
 /// (frozen legacy sequence + uniformity), and the structured hierarchy
 /// synthesizer (determinism, single-interval cones, cross-config/tier
-/// output equality).
+/// output equality).  The same random DAGs drive a differential of the
+/// lazily built DispatchTables against Program::dispatch (answers and
+/// per-position group counts), and two eight-thread races check that a
+/// table is built and published once per generic.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
+#include "driver/Snapshot.h"
 #include "fuzz/ProgramGen.h"
 #include "hierarchy/ClassHierarchy.h"
 #include "runtime/DispatchTable.h"
 #include "support/ClassSet.h"
+#include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <latch>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace selspec;
@@ -245,27 +253,35 @@ TEST(HybridClassSetTest, RepresentationAutoSelection) {
 // Interval cones vs. transitive-closure reference over random DAGs
 //===----------------------------------------------------------------------===//
 
+/// A random DAG of 20..119 classes: class i > 0 picks one or (30%) two
+/// parents among 0..i-1, so diamonds are common.  ParentsOf[i] lists them.
+std::vector<std::vector<unsigned>> randomDag(fuzz::Rng &R) {
+  const unsigned N = 20 + R.below(100);
+  std::vector<std::vector<unsigned>> ParentsOf(N);
+  for (unsigned I = 1; I != N; ++I) {
+    unsigned P1 = R.below(I);
+    ParentsOf[I].push_back(P1);
+    if (I > 1 && R.chance(30)) {
+      unsigned P2 = R.below(I);
+      if (P2 != P1)
+        ParentsOf[I].push_back(P2);
+    }
+  }
+  return ParentsOf;
+}
+
 TEST(IntervalConeTest, MatchesTransitiveClosureOnRandomHierarchies) {
   for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
     fuzz::Rng R(Seed);
     SymbolTable Syms;
     ClassHierarchy H;
-    const unsigned N = 20 + R.below(100);
-
-    // Random DAG: class i picks one or (30%) two parents among 0..i-1.
-    std::vector<std::vector<unsigned>> ParentsOf(N);
+    const std::vector<std::vector<unsigned>> ParentsOf = randomDag(R);
+    const unsigned N = static_cast<unsigned>(ParentsOf.size());
     H.addClass(Syms.intern("C0"), {});
     for (unsigned I = 1; I != N; ++I) {
-      unsigned P1 = R.below(I);
-      std::vector<ClassId> Ps{ClassId(P1)};
-      ParentsOf[I].push_back(P1);
-      if (I > 1 && R.chance(30)) {
-        unsigned P2 = R.below(I);
-        if (P2 != P1) {
-          Ps.push_back(ClassId(P2));
-          ParentsOf[I].push_back(P2);
-        }
-      }
+      std::vector<ClassId> Ps;
+      for (unsigned P : ParentsOf[I])
+        Ps.push_back(ClassId(P));
       ASSERT_TRUE(
           H.addClass(Syms.intern("C" + std::to_string(I)), Ps).isValid());
     }
@@ -540,6 +556,197 @@ TEST(HierarchySynthesizerTest, IdenticalOutputAcrossConfigsAndTiers) {
     }
   }
   EXPECT_FALSE(Reference.empty());
+}
+
+//===----------------------------------------------------------------------===//
+// DispatchTables: the dispatch path against the Program::dispatch oracle
+//===----------------------------------------------------------------------===//
+
+/// Arities of the generics g0..g6 that randomDispatchProgram declares.
+constexpr unsigned RandomGenericArity[] = {1, 1, 1, 2, 2, 3, 3};
+
+/// Mica source for the hierarchy \p ParentsOf (class Ci for node i) plus
+/// generics g0..g6 of 1..10 methods each, whose specializers are random
+/// classes; at multi-argument positions one in four is unspecialized.
+/// Ambiguous tuples are kept: the tables must agree on them too.
+std::string randomDispatchProgram(
+    fuzz::Rng &R, const std::vector<std::vector<unsigned>> &ParentsOf) {
+  const unsigned N = static_cast<unsigned>(ParentsOf.size());
+  std::string Src = "class C0;\n";
+  for (unsigned I = 1; I != N; ++I) {
+    Src += "class C" + std::to_string(I) + " isa ";
+    for (size_t K = 0; K != ParentsOf[I].size(); ++K)
+      Src += (K ? ", C" : "C") + std::to_string(ParentsOf[I][K]);
+    Src += ";\n";
+  }
+  for (unsigned GI = 0; GI != std::size(RandomGenericArity); ++GI) {
+    const unsigned Arity = RandomGenericArity[GI];
+    std::set<std::string> Seen;
+    const unsigned NumMethods = 1 + R.below(10);
+    for (unsigned M = 0; M != NumMethods; ++M) {
+      std::string Formals;
+      for (unsigned A = 0; A != Arity; ++A) {
+        Formals += (A ? ", x" : "x") + std::to_string(A);
+        if (Arity == 1 || !R.chance(25))
+          Formals += "@C" + std::to_string(R.below(N));
+      }
+      if (Seen.insert(Formals).second)
+        Src += "method g" + std::to_string(GI) + "(" + Formals + ") { " +
+               std::to_string(M) + "; }\n";
+    }
+  }
+  Src += "method main(n@Int) { n; }\n";
+  return Src;
+}
+
+TEST(DispatchTablesTest, MatchesProgramDispatchOnRandomDags) {
+  for (uint64_t Seed = 1; Seed <= 10; ++Seed) {
+    fuzz::Rng R(Seed);
+    const std::vector<std::vector<unsigned>> ParentsOf = randomDag(R);
+    std::unique_ptr<Program> P =
+        buildProgram({randomDispatchProgram(R, ParentsOf)});
+    ASSERT_TRUE(P) << "seed " << Seed;
+    const ClassHierarchy &H = P->Classes;
+    const unsigned U = H.size();
+    DispatchTables Tables(*P);
+
+    for (unsigned GI = 0; GI != std::size(RandomGenericArity); ++GI) {
+      const unsigned Arity = RandomGenericArity[GI];
+      GenericId G =
+          P->lookupGeneric(P->Syms.find("g" + std::to_string(GI)), Arity);
+      ASSERT_TRUE(G.isValid());
+      const GenericInfo &Info = P->generic(G);
+      const DispatchTable &T = Tables.table(G);
+      ASSERT_TRUE(T.materialized());
+
+      // Each dispatched position has as many groups as there are distinct
+      // applicability patterns over the methods, counted class by class.
+      unsigned Dispatched = 0;
+      size_t Cells = 1;
+      for (unsigned Pos = 0; Pos != Arity; ++Pos) {
+        bool Constrained = false;
+        for (MethodId M : Info.Methods)
+          Constrained |= P->method(M).Specializers[Pos] != H.root();
+        if (!Constrained)
+          continue;
+        std::set<std::vector<bool>> Patterns;
+        for (unsigned C = 0; C != U; ++C) {
+          std::vector<bool> Pattern;
+          for (MethodId M : Info.Methods)
+            Pattern.push_back(
+                H.isSubclassOf(ClassId(C), P->method(M).Specializers[Pos]));
+          Patterns.insert(Pattern);
+        }
+        ASSERT_LT(Dispatched, T.numDispatchedPositions());
+        EXPECT_EQ(T.numGroups(Dispatched), Patterns.size())
+            << "seed " << Seed << " g" << GI << " position " << Pos;
+        Cells *= Patterns.size();
+        ++Dispatched;
+      }
+      EXPECT_EQ(T.numDispatchedPositions(), Dispatched);
+      EXPECT_EQ(T.tableSize(), Cells);
+
+      // Every class at arity 1; seeded tuples beyond that.
+      if (Arity == 1) {
+        for (unsigned C = 0; C != U; ++C)
+          EXPECT_EQ(Tables.dispatch(G, {ClassId(C)}),
+                    P->dispatch(G, {ClassId(C)}))
+              << "seed " << Seed << " g" << GI << " class " << C;
+        continue;
+      }
+      for (unsigned K = 0; K != 2000; ++K) {
+        std::vector<ClassId> Args;
+        for (unsigned A = 0; A != Arity; ++A)
+          Args.push_back(ClassId(R.below(U)));
+        ASSERT_EQ(Tables.dispatch(G, Args), P->dispatch(G, Args))
+            << "seed " << Seed << " g" << GI << " tuple " << K;
+      }
+    }
+  }
+}
+
+// Eight threads take their first dispatch miss on the same generic of one
+// shared snapshot at once.  One builds and publishes the table, the rest
+// wait for it or read it; every job prints the single-threaded answer,
+// and no table is built twice.
+TEST(DispatchTablesRace, EightThreadsFirstMissOnOneSnapshot) {
+  fuzz::HierarchySpec Spec;
+  Spec.Classes = 300;
+  Spec.MultiParentPercent = 20;
+  Spec.MethodLeaves = 32;
+  Spec.Generics = 1;
+  Spec.Seed = 7;
+  for (ExecTier Tier : {ExecTier::Bytecode, ExecTier::Ast}) {
+    SCOPED_TRACE(tierName(Tier));
+    std::string Err;
+    auto WB = Workbench::fromSources({fuzz::generateHierarchyProgram(Spec)},
+                                     Err, /*WithStdlib=*/false);
+    ASSERT_TRUE(WB) << Err;
+    WB->setTier(Tier);
+    auto Build = [&] {
+      std::shared_ptr<const CompiledSnapshot> Snap =
+          WB->buildSnapshot(Config::Base, Err);
+      EXPECT_TRUE(Snap) << Err;
+      return Snap;
+    };
+    metrics::Counter &Built = metrics::named("dispatch.tables_built");
+
+    uint64_t Before = Built.value();
+    CompiledSnapshot::JobResult Reference = Build()->run(300);
+    ASSERT_TRUE(Reference.Ok) << Reference.Error;
+    const uint64_t TablesPerJob = Built.value() - Before;
+    EXPECT_GT(TablesPerJob, 0u);
+
+    std::shared_ptr<const CompiledSnapshot> Shared = Build();
+    Before = Built.value();
+    std::vector<CompiledSnapshot::JobResult> Results(8);
+    std::latch Start(8);
+    std::vector<std::thread> Threads;
+    for (size_t I = 0; I != Results.size(); ++I)
+      Threads.emplace_back([&, I] {
+        Start.arrive_and_wait();
+        Results[I] = Shared->run(300);
+      });
+    for (std::thread &T : Threads)
+      T.join();
+    EXPECT_EQ(Built.value() - Before, TablesPerJob);
+    for (const CompiledSnapshot::JobResult &J : Results) {
+      ASSERT_TRUE(J.Ok) << J.Error;
+      EXPECT_EQ(J.R.Output, Reference.R.Output);
+      expectSameStats(J.R.Run, Reference.R.Run, "racing job");
+    }
+  }
+}
+
+// The publication itself, without an interpreter around it: eight threads
+// ask a fresh DispatchTables for one generic's table at once, all get the
+// same table, and it is built once.
+TEST(DispatchTablesRace, EightThreadsShareOnePublishedTable) {
+  fuzz::Rng R(42);
+  std::unique_ptr<Program> P =
+      buildProgram({randomDispatchProgram(R, randomDag(R))});
+  ASSERT_TRUE(P);
+  GenericId G = P->lookupGeneric(P->Syms.find("g3"), 2);
+  ASSERT_TRUE(G.isValid());
+  metrics::Counter &Built = metrics::named("dispatch.tables_built");
+  const uint64_t Before = Built.value();
+  DispatchTables Tables(*P);
+  std::vector<const DispatchTable *> Seen(8);
+  std::latch Start(8);
+  std::vector<std::thread> Threads;
+  for (size_t I = 0; I != Seen.size(); ++I)
+    Threads.emplace_back([&, I] {
+      Start.arrive_and_wait();
+      Seen[I] = &Tables.table(G);
+      // Read through the published table, as a dispatch would.
+      std::vector<ClassId> Args(2, ClassId(static_cast<uint32_t>(I)));
+      EXPECT_EQ(Seen[I]->lookup(Args), P->dispatch(G, Args));
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Built.value() - Before, 1u);
+  for (const DispatchTable *T : Seen)
+    EXPECT_EQ(T, Seen[0]);
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 
 #include "driver/Adaptive.h"
 #include "driver/Pipeline.h"
+#include "driver/Serve.h"
 #include "driver/Snapshot.h"
 
 #include "TestUtil.h"
@@ -21,6 +22,7 @@
 #include "runtime/DispatchTable.h"
 #include "support/Deadline.h"
 #include "support/FailPoint.h"
+#include "support/Metrics.h"
 
 #include <cstdio>
 #include <fstream>
@@ -293,17 +295,91 @@ TEST(Failpoint, DispatchTableBuildInjectionDegradesToSearch) {
   ASSERT_TRUE(P);
   std::string Err;
   ASSERT_TRUE(failpoint::configure("dispatch.table-build=fail", Err));
-  DispatchTableSet Degraded(*P);
+  DispatchTables Degraded(*P);
+  for (unsigned GI = 0; GI != P->numGenerics(); ++GI)
+    Degraded.table(GenericId(GI)); // builds while armed
   failpoint::disarmAll();
-  DispatchTableSet Normal(*P);
+  DispatchTables Normal(*P);
   // Degraded tables materialize nothing but answer identically through
   // the search-based fallback.
-  EXPECT_EQ(Degraded.totalCells(), 0u);
   for (unsigned GI = 0; GI != P->numGenerics(); ++GI) {
     const GenericInfo &Info = P->generic(GenericId(GI));
+    EXPECT_FALSE(Degraded.table(GenericId(GI)).materialized());
+    EXPECT_EQ(Degraded.table(GenericId(GI)).tableSize(), 0u);
     std::vector<ClassId> Args(Info.Arity, P->Classes.root());
-    EXPECT_EQ(Degraded.forGeneric(GenericId(GI)).lookup(Args),
-              Normal.forGeneric(GenericId(GI)).lookup(Args));
+    EXPECT_EQ(Degraded.dispatch(GenericId(GI), Args),
+              Normal.dispatch(GenericId(GI), Args));
+  }
+}
+
+// The tables are built at a job's first dispatch miss, not at snapshot
+// build, so that is where the failpoint fires.  Armed, every generic the
+// served job misses on degrades to the search fallback, and the job's
+// output and RunStats equal an unarmed job's, on both tiers.
+TEST(Failpoint, DispatchTableBuildOnServePathDegradesToSearch) {
+  const std::string Src = R"(
+      class Shape; class Circle isa Shape; class Square isa Shape;
+      class Tri isa Shape;
+      method area(s@Circle) { 3; }
+      method area(s@Square) { 4; }
+      method area(s@Tri) { 5; }
+      method pick(n@Int) {
+        if (n % 3 == 0) { new Circle; }
+        else { if (n % 3 == 1) { new Square; } else { new Tri; } }
+      }
+      method main(n@Int) {
+        let i := 0; let acc := 0;
+        while (i < n) { acc := acc + area(pick(i)); i := i + 1; }
+        print(acc);
+      })";
+  metrics::Counter &Fallbacks = metrics::named("dispatch.table_fallbacks");
+  for (ExecTier Tier : {ExecTier::Bytecode, ExecTier::Ast}) {
+    SCOPED_TRACE(tierName(Tier));
+    FailpointGuard G;
+    auto ServeOne = [&](bool Armed, uint64_t &FallbacksAdded) {
+      std::string Err;
+      std::shared_ptr<Workbench> WB =
+          Workbench::fromSources({Src}, Err, /*WithStdlib=*/false);
+      EXPECT_TRUE(WB) << Err;
+      WB->setTier(Tier);
+      if (Armed) {
+        EXPECT_TRUE(failpoint::configure("dispatch.table-build=fail", Err));
+      }
+      const uint64_t Before = Fallbacks.value();
+      std::shared_ptr<const CompiledSnapshot> Snap =
+          WB->buildSnapshot(Config::Base, Err, {}, {}, WB);
+      EXPECT_TRUE(Snap) << Err;
+      EXPECT_EQ(Fallbacks.value(), Before) << "snapshot build built a table";
+      CompiledSnapshot::JobResult Result;
+      {
+        ServeEngine Engine(ServeEngine::Options(),
+                           [&](ServeEngine::Completion &&Cmp) {
+                             Result = std::move(Cmp.Result);
+                           });
+        ServeEngine::Job J;
+        J.Id = "0";
+        J.Snapshot = Snap;
+        J.Input = 30;
+        EXPECT_EQ(Engine.submit(std::move(J)), ServeEngine::Admit::Accepted);
+        Engine.shutdown(false);
+      }
+      FallbacksAdded = Fallbacks.value() - Before;
+      failpoint::disarmAll();
+      GenericId Area =
+          Snap->program().lookupGeneric(Snap->program().Syms.find("area"), 1);
+      EXPECT_EQ(Snap->tables().table(Area).materialized(), !Armed);
+      return Result;
+    };
+    uint64_t NormalFallbacks = 0, DegradedFallbacks = 0;
+    CompiledSnapshot::JobResult Normal = ServeOne(false, NormalFallbacks);
+    CompiledSnapshot::JobResult Degraded = ServeOne(true, DegradedFallbacks);
+    ASSERT_TRUE(Normal.Ok) << Normal.Error;
+    ASSERT_TRUE(Degraded.Ok) << Degraded.Error;
+    EXPECT_EQ(NormalFallbacks, 0u);
+    EXPECT_GT(DegradedFallbacks, 0u);
+    EXPECT_EQ(Normal.R.Output, "120\n");
+    EXPECT_EQ(Degraded.R.Output, Normal.R.Output);
+    expectSameStats(Normal.R.Run, Degraded.R.Run, "armed vs unarmed");
   }
 }
 

@@ -173,21 +173,31 @@ TEST(ServeStress, AstTierJobsMatchSingleThreadBaseline) {
 
 // Per-job MetricsDelta entries, summed over all jobs, must equal the
 // process-wide registry totals for those counters — per-job observability
-// is exact, not sampled.  resetAll() runs *after* the build and reference
-// run so only the served jobs contribute.
+// is exact, not sampled.  resetAll() runs *after* the builds and reference
+// run so only the served jobs contribute.  Jobs alternate between a
+// bytecode and an AST snapshot: bytecode IC misses read the dispatch
+// tables and never reach a Dispatcher, so the `dispatcher.*` sums come
+// from the AST jobs alone.
 TEST(Serve, MetricsDeltasSumToRegistryTotals) {
   std::string Err;
   std::shared_ptr<Workbench> WB = Workbench::fromFiles({"richards.mica"}, Err);
   ASSERT_TRUE(WB) << Err;
   WB->setTier(ExecTier::Bytecode);
   ASSERT_TRUE(WB->collectProfile(10, Err)) << Err;
-  std::shared_ptr<const CompiledSnapshot> Snap =
+  std::shared_ptr<const CompiledSnapshot> BcSnap =
       WB->buildSnapshot(Config::CHA, Err, {}, {}, WB);
-  ASSERT_TRUE(Snap) << Err;
+  ASSERT_TRUE(BcSnap) << Err;
+  ASSERT_EQ(BcSnap->tier(), ExecTier::Bytecode);
+  WB->setTier(ExecTier::Ast);
+  std::shared_ptr<const CompiledSnapshot> AstSnap =
+      WB->buildSnapshot(Config::CHA, Err, {}, {}, WB);
+  ASSERT_TRUE(AstSnap) << Err;
+  ASSERT_EQ(AstSnap->tier(), ExecTier::Ast);
 
   metrics::resetAll();
 
   std::map<std::string, uint64_t> Sums;
+  std::map<ExecTier, std::map<std::string, uint64_t>> TierSums;
   size_t JobsOk = 0;
   {
     ServeEngine::Options EO;
@@ -196,13 +206,15 @@ TEST(Serve, MetricsDeltasSumToRegistryTotals) {
       ASSERT_TRUE(Cmp.Result.Ok) << Cmp.Result.Error;
       ++JobsOk;
       EXPECT_FALSE(Cmp.Result.MetricsDelta.empty());
-      for (const auto &KV : Cmp.Result.MetricsDelta)
+      for (const auto &KV : Cmp.Result.MetricsDelta) {
         Sums[KV.first] += KV.second;
+        TierSums[Cmp.Result.R.Tier][KV.first] += KV.second;
+      }
     });
     for (int I = 0; I != 12; ++I) {
       ServeEngine::Job J;
       J.Id = std::to_string(I);
-      J.Snapshot = Snap;
+      J.Snapshot = I % 2 ? AstSnap : BcSnap;
       J.Input = 10;
       J.CollectMetricsDelta = true;
       ASSERT_EQ(Engine.submit(std::move(J)), ServeEngine::Admit::Accepted);
@@ -216,7 +228,12 @@ TEST(Serve, MetricsDeltasSumToRegistryTotals) {
     Registry[KV.first] = KV.second;
 
   EXPECT_GT(Sums.at("interp.nodes_evaluated"), 0u);
-  EXPECT_GT(Sums.at("dispatcher.lookups"), 0u);
+  std::map<std::string, uint64_t> &Bc = TierSums[ExecTier::Bytecode];
+  std::map<std::string, uint64_t> &Ast = TierSums[ExecTier::Ast];
+  EXPECT_GT(Bc.at("bytecode.ic_misses"), 0u);
+  EXPECT_EQ(Bc.at("dispatcher.lookups"), 0u);
+  EXPECT_GT(Ast.at("dispatcher.lookups"), 0u);
+  EXPECT_GT(Ast.at("dispatcher.full_lookups"), 0u);
   for (const auto &KV : Sums)
     EXPECT_EQ(KV.second, Registry[KV.first])
         << "per-job deltas for " << KV.first

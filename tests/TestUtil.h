@@ -89,6 +89,30 @@ inline std::string runSource(const std::string &Source, Config C,
   return Out;
 }
 
+/// Asserts every RunStats field matches, NodeMix bucket by bucket.
+inline void expectSameStats(const RunStats &A, const RunStats &B,
+                            const std::string &Label) {
+  EXPECT_EQ(A.DynamicDispatches, B.DynamicDispatches) << Label;
+  EXPECT_EQ(A.VersionSelects, B.VersionSelects) << Label;
+  EXPECT_EQ(A.StaticCalls, B.StaticCalls) << Label;
+  EXPECT_EQ(A.InlinePrims, B.InlinePrims) << Label;
+  EXPECT_EQ(A.PredictedHits, B.PredictedHits) << Label;
+  EXPECT_EQ(A.PredictedMisses, B.PredictedMisses) << Label;
+  EXPECT_EQ(A.FeedbackHits, B.FeedbackHits) << Label;
+  EXPECT_EQ(A.FeedbackMisses, B.FeedbackMisses) << Label;
+  EXPECT_EQ(A.ClosuresCreated, B.ClosuresCreated) << Label;
+  EXPECT_EQ(A.ClosureCalls, B.ClosureCalls) << Label;
+  EXPECT_EQ(A.Allocations, B.Allocations) << Label;
+  EXPECT_EQ(A.MethodInvocations, B.MethodInvocations) << Label;
+  EXPECT_EQ(A.NodesEvaluated, B.NodesEvaluated) << Label;
+  EXPECT_EQ(A.PeakDepth, B.PeakDepth) << Label;
+  EXPECT_EQ(A.Cycles, B.Cycles) << Label;
+  for (size_t K = 0; K != Expr::NumKinds; ++K)
+    EXPECT_EQ(A.NodeMix[K], B.NodeMix[K])
+        << Label << " NodeMix["
+        << exprKindName(static_cast<Expr::Kind>(K)) << ']';
+}
+
 } // namespace test
 } // namespace selspec
 

@@ -13,8 +13,11 @@
 /// doesn't:
 ///
 ///   - per-config, per-tier measured runs (all 5 Table 1 configurations
-///     x AST + bytecode tiers) with wall-clock ns per dynamic dispatch;
-///   - compressed DispatchTable cells and direct table-lookup ns/op;
+///     x AST + bytecode tiers) with wall-clock ns per dynamic dispatch,
+///     best of SELSPEC_HIERARCHY_REPS runs taken rep by rep across the
+///     sizes;
+///   - compressed DispatchTable cells and bytes, and direct table-lookup
+///     ns/op;
 ///   - cone memory: the hierarchy's interval index plus materialized
 ///     hybrid cone sets, against the N * N/8-byte dense baseline;
 ///   - program build (parse -> resolve -> analyses) wall time.
@@ -41,6 +44,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -93,6 +97,8 @@ struct SizeRow {
   size_t ConeIntervals = 0;
   size_t TableCells = 0;
   size_t TableUncompressedCells = 0;
+  /// Group-id arrays plus cells of every table (DispatchTable::memoryBytes).
+  size_t TableBytes = 0;
   double TableLookupNs = 0;
   std::vector<ConfigRow> Rows;
 };
@@ -109,7 +115,9 @@ int main() {
   const unsigned Leaves =
       static_cast<unsigned>(envOr("SELSPEC_HIERARCHY_LEAVES", 32));
 
+  // Build every size first: the timed runs below interleave the sizes.
   std::vector<SizeRow> Results;
+  std::vector<std::unique_ptr<Workbench>> Benches;
   for (unsigned NumClasses : Sizes) {
     fuzz::HierarchySpec Spec;
     Spec.Classes = NumClasses;
@@ -158,6 +166,7 @@ int main() {
       const DispatchTable &T = Tables.table(GenericId(GI));
       Row.TableCells += T.tableSize();
       Row.TableUncompressedCells += T.uncompressedSize();
+      Row.TableBytes += T.memoryBytes();
     }
     {
       GenericId G = P.lookupGeneric(P.Syms.find("g0"), 1);
@@ -181,59 +190,74 @@ int main() {
       }
       Row.TableLookupNs = double(nowNs() - L0) / double(Iters);
     }
-
-    // Measured runs: all five configurations on both tiers; outputs must
-    // agree bit-for-bit (the synthesized checksum catches misdispatch).
-    std::string Reference;
-    const unsigned Reps =
-        static_cast<unsigned>(envOr("SELSPEC_HIERARCHY_REPS", 3));
-    for (ExecTier Tier : {ExecTier::Bytecode, ExecTier::Ast}) {
-      WB->setTier(Tier);
+    for (ExecTier Tier : {ExecTier::Bytecode, ExecTier::Ast})
       for (Config C : AllConfigs) {
-        // Best-of-Reps wall time: single runs at these sizes are a few
-        // ms, where scheduler noise would swamp the flatness comparison.
         ConfigRow CR;
         CR.Configuration = C;
-        for (unsigned Rep = 0; Rep != Reps; ++Rep) {
-          auto R = WB->runConfig(C, Input, Err);
-          if (!R || R->Trap != TrapKind::None) {
-            std::cerr << "hierarchy_scale: " << configName(C) << "/"
-                      << tierName(Tier) << " failed at " << NumClasses
-                      << " classes: " << Err << "\n";
-            return 1;
-          }
-          if (Reference.empty())
-            Reference = R->Output;
-          else if (R->Output != Reference) {
-            std::cerr << "hierarchy_scale: output mismatch for "
-                      << configName(C) << "/" << tierName(Tier) << " at "
-                      << NumClasses << " classes\n";
-            return 1;
-          }
-          CR.Tier = R->Tier;
-          CR.Dispatches = R->Run.totalDispatches();
-          if (Rep == 0 || R->WallNanos < CR.WallNanos)
-            CR.WallNanos = R->WallNanos;
-        }
-        CR.NsPerDispatch =
-            double(CR.WallNanos) /
-            double(CR.Dispatches == 0 ? 1 : CR.Dispatches);
+        CR.Tier = Tier;
         Row.Rows.push_back(CR);
       }
-    }
+    Results.push_back(std::move(Row));
+    Benches.push_back(std::move(WB));
+  }
 
+  // Measured runs: all five configurations on both tiers; outputs must
+  // agree bit-for-bit (the synthesized checksum catches misdispatch).
+  // Best-of-Reps wall time: single runs at these sizes are a few ms, where
+  // scheduler noise would swamp the flatness comparison.  The sizes take
+  // turns run by run: each rep runs one configuration and tier at every
+  // size back to back, so a host slowdown longer than a run lands on all
+  // sizes alike instead of on whichever size it happened to overlap.
+  const unsigned Reps =
+      static_cast<unsigned>(envOr("SELSPEC_HIERARCHY_REPS", 3));
+  std::vector<std::string> Reference(Results.size());
+  const size_t NumRows = Results.empty() ? 0 : Results[0].Rows.size();
+  for (unsigned Rep = 0; Rep != Reps; ++Rep)
+    for (size_t K = 0; K != NumRows; ++K)
+      for (size_t SI = 0; SI != Results.size(); ++SI) {
+        SizeRow &Row = Results[SI];
+        ConfigRow &CR = Row.Rows[K];
+        Workbench &WB = *Benches[SI];
+        std::string Err;
+        WB.setTier(CR.Tier);
+        auto R = WB.runConfig(CR.Configuration, Input, Err);
+        if (!R || R->Trap != TrapKind::None) {
+          std::cerr << "hierarchy_scale: " << configName(CR.Configuration)
+                    << "/" << tierName(CR.Tier) << " failed at "
+                    << Row.Classes << " classes: " << Err << "\n";
+          return 1;
+        }
+        if (Reference[SI].empty())
+          Reference[SI] = R->Output;
+        else if (R->Output != Reference[SI]) {
+          std::cerr << "hierarchy_scale: output mismatch for "
+                    << configName(CR.Configuration) << "/"
+                    << tierName(CR.Tier) << " at " << Row.Classes
+                    << " classes\n";
+          return 1;
+        }
+        CR.Tier = R->Tier;
+        CR.Dispatches = R->Run.totalDispatches();
+        if (Rep == 0 || R->WallNanos < CR.WallNanos)
+          CR.WallNanos = R->WallNanos;
+      }
+
+  for (SizeRow &Row : Results) {
+    for (ConfigRow &CR : Row.Rows)
+      CR.NsPerDispatch = double(CR.WallNanos) /
+                         double(CR.Dispatches == 0 ? 1 : CR.Dispatches);
     std::cout << "classes=" << Row.Universe << " build_ms="
               << Row.BuildNanos / 1000000 << " cone_bytes="
               << (Row.ConeIndexBytes + Row.ConeSetBytes) << " (dense "
               << Row.DenseConeBytes << ") table_cells=" << Row.TableCells
               << " (uncompressed " << Row.TableUncompressedCells
-              << ") table_lookup_ns=" << Row.TableLookupNs << "\n";
+              << ") table_bytes=" << Row.TableBytes
+              << " table_lookup_ns=" << Row.TableLookupNs << "\n";
     for (const ConfigRow &CR : Row.Rows)
       std::cout << "  " << tierName(CR.Tier) << "/" << configName(CR.Configuration)
                 << ": wall_ms=" << CR.WallNanos / 1000000
                 << " dispatches=" << CR.Dispatches
                 << " ns_per_dispatch=" << CR.NsPerDispatch << "\n";
-    Results.push_back(std::move(Row));
   }
 
   std::ofstream OS("BENCH_hierarchy_scale.json");
@@ -257,6 +281,7 @@ int main() {
        << ",\n      \"table_cells\": " << Row.TableCells
        << ",\n      \"table_uncompressed_cells\": "
        << Row.TableUncompressedCells
+       << ",\n      \"table_bytes\": " << Row.TableBytes
        << ",\n      \"table_lookup_ns\": " << Row.TableLookupNs
        << ",\n      \"configs\": [\n";
     for (size_t J = 0; J != Row.Rows.size(); ++J) {

@@ -39,7 +39,7 @@
 /// BytecodeInterpreter allocates from NumIcSlots/NumSlotCacheSlots.  The
 /// 12-byte instruction encoding is unchanged; instructions still name
 /// sites, sites name side-table slots.  IC state is observability only —
-/// a hit returns exactly what Dispatcher::lookup +
+/// a hit returns exactly what Program::dispatch +
 /// CompiledProgram::selectVersion would return for the same immutable
 /// program, which the SELSPEC_IC_AUDIT=1 mode re-verifies (counting
 /// `bytecode.ic_misdispatch`).

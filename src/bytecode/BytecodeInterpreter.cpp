@@ -14,11 +14,13 @@
 // Two pieces of machinery are new.  The per-site inline cache: a call
 // instruction probes the BcIcEntry slots of its site's side-table entry,
 // and a miss reads the snapshot's shared compressed dispatch table
-// (DispatchTables) directly; the AST tier's PICs and memo are not on
-// this path.  A hit must return exactly what dispatch would have (the
-// program is immutable during a run), so the substitution is invisible
-// to RunStats; SELSPEC_IC_AUDIT=1 re-verifies every hit and every table
-// answer against Program::dispatch and counts `bytecode.ic_misdispatch`.
+// (DispatchTables) directly: one cell holds both the method and its
+// selected version; the AST tier's PICs and memo are not on this path.
+// A hit must return exactly what dispatch and version selection would
+// have (the program is immutable during a run), so the substitution is
+// invisible to RunStats; SELSPEC_IC_AUDIT=1 re-verifies every hit and
+// every table answer against Program::dispatch and
+// CompiledProgram::selectVersion and counts `bytecode.ic_misdispatch`.
 // And region charging: the AST walker's per-node chargeNode() is applied
 // a charge region at a time (see execute()), which reaches the same
 // RunStats and the same traps.
@@ -44,6 +46,7 @@ BytecodeInterpreter::BytecodeInterpreter(const CompiledProgram &CP,
                                          const BcModule &Mod, RunOptions Opts,
                                          CostModel Costs)
     : RuntimeCore(CP, Opts, Costs), Mod(Mod), Tables(Disp.tables()),
+      CellsHoldVersions(Tables.compiledProgram() == &CP),
       IcTable(Mod.NumIcSlots), SlotCaches(Mod.NumSlotCacheSlots),
       RegionHits(Mod.NumChargeRegions) {
   assert(Mod.Ok && "executing a module that failed to compile");
@@ -135,17 +138,22 @@ bool BytecodeInterpreter::icFind(const BcSite &Site, MethodId &Target,
 bool BytecodeInterpreter::icMiss(const BcSite &Site, MethodId &Target,
                                  int &Version) {
   const GenericId G = Site.S->Generic;
-  Target = Tables.dispatch(G, ClassScratch);
+  DispatchTable::Cell Hit = Tables.select(G, ClassScratch);
+  if (!CellsHoldVersions && Hit.Method.isValid())
+    Hit.Version = CP.selectVersion(Hit.Method, ClassScratch);
   if (IcAudit) {
     MethodId Real = P.dispatch(G, ClassScratch);
-    if (Real != Target) {
+    int RealVersion =
+        Real.isValid() ? CP.selectVersion(Real, ClassScratch) : -1;
+    if (Real != Hit.Method || RealVersion != Hit.Version) {
       ++IcMisdispatches;
-      Target = Real;
+      Hit = {Real, RealVersion};
     }
   }
-  if (!Target.isValid())
+  if (!Hit.Method.isValid())
     return false;
-  Version = CP.selectVersion(Target, ClassScratch);
+  Target = Hit.Method;
+  Version = Hit.Version;
   icInsert(Site, Target, Version);
   return true;
 }

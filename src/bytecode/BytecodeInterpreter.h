@@ -14,12 +14,17 @@
 /// GCC/Clang, a switch elsewhere), the call-instruction family with its
 /// per-thread inline caches, whose misses read the shared compressed
 /// dispatch tables (DispatchTables) directly, never the AST tier's
-/// Dispatcher PICs and memo, and charge regions.  The AST walker charges
-/// every node as it goes; this tier charges a whole charge region when it
-/// enters one (an add and a compare against the next node budget or
-/// deadline-poll threshold), steps through the region's charge points one
-/// by one only when that threshold falls inside it, and gives back the
-/// unreached points when an instruction traps mid-region.  NodeMix and
+/// Dispatcher PICs and memo, and charge regions.  When the tables were
+/// built for this interpreter's CompiledProgram (a snapshot's, or the
+/// core's own), a miss is one cell read that yields the method and its
+/// selected version; over tables built for no CompiledProgram or another
+/// one, the miss selects the version with CompiledProgram::selectVersion.
+/// The AST walker charges every node as it goes; this tier charges a
+/// whole charge region when it enters one (an add and a compare against
+/// the next node budget or deadline-poll threshold), steps through the
+/// region's charge points one by one only when that threshold falls
+/// inside it, and gives back the unreached points when an instruction
+/// traps mid-region.  NodeMix and
 /// the node share of Cycles are folded in from per-region entry counts
 /// when a job ends, so RunStats are bit-identical across tiers, which
 /// tests/BytecodeTests.cpp enforces differentially.
@@ -86,10 +91,12 @@ private:
   /// hits are re-verified against full dispatch
   /// (`bytecode.ic_misdispatch`).
   bool icFind(const BcSite &Site, MethodId &Target, int &Version);
-  /// The miss path of callDyn and callFeedback: reads the site's generic's
-  /// dispatch table (re-derived from Program::dispatch under
-  /// SELSPEC_IC_AUDIT=1, divergences counted as misdispatches), selects
-  /// the version and fills the IC.  False when no method applies.
+  /// The miss path of callDyn and callFeedback: reads the (method,
+  /// version) cell of the site's generic's dispatch table (selecting the
+  /// version itself unless CellsHoldVersions), fills the IC, and under
+  /// SELSPEC_IC_AUDIT=1 re-derives both from Program::dispatch and
+  /// selectVersion first, counting a divergence as a misdispatch and
+  /// taking the oracle's answer.  False when no method applies.
   bool icMiss(const BcSite &Site, MethodId &Target, int &Version);
   void icInsert(const BcSite &Site, MethodId Target, int Version);
 
@@ -127,6 +134,9 @@ private:
   /// The dispatch tables IC misses read: the snapshot's shared ones, or
   /// the Dispatcher's own when RunOptions::Tables is null.
   const DispatchTables &Tables;
+  /// Tables' cells carry this CP's versions (built for it); otherwise a
+  /// miss selects the version with CompiledProgram::selectVersion.
+  const bool CellsHoldVersions;
   /// Per-thread IC side-tables (the module itself is immutable and
   /// shared): sized once from Mod.NumIcSlots / Mod.NumSlotCacheSlots.
   std::vector<IcSlotState> IcTable;
@@ -145,7 +155,7 @@ private:
   uint64_t IcMisses = 0;
   uint64_t IcMisdispatches = 0;
   /// SELSPEC_IC_AUDIT=1: re-verify every IC hit and every table answer
-  /// against Program::dispatch.
+  /// against Program::dispatch and CompiledProgram::selectVersion.
   bool IcAudit = false;
 };
 

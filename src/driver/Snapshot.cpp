@@ -157,7 +157,7 @@ Workbench::buildSnapshot(Config C, std::string &ErrorOut,
   }
   Snap->Tier = SnapTier;
   Snap->Info.Tier = SnapTier;
-  Snap->Tables = std::make_unique<DispatchTables>(*P);
+  Snap->Tables = std::make_unique<DispatchTables>(*Snap->CP);
   return Snap;
 }
 

@@ -171,6 +171,37 @@ void ClassHierarchy::finalizeViolation(const char *Query) const {
   std::abort();
 }
 
+std::vector<ClassSet::Range>
+ClassHierarchy::preorderRuns(const ClassSet &S) const {
+  requireFinalized("preorderRuns");
+  std::vector<ClassSet::Range> Runs = S.runs();
+  if (IdOrderIsPreorder)
+    return Runs;
+  // Consecutive ids are often consecutive in preorder too, so extend a
+  // preorder run while they are, then sort and merge the runs.
+  std::vector<ClassSet::Range> Pre;
+  for (const ClassSet::Range &Rg : Runs)
+    for (uint32_t C = Rg.Lo; C != Rg.Hi; ++C) {
+      const uint32_t At = PreOf[C];
+      if (!Pre.empty() && Pre.back().Hi == At)
+        ++Pre.back().Hi;
+      else
+        Pre.push_back({At, At + 1});
+    }
+  std::sort(Pre.begin(), Pre.end(),
+            [](const ClassSet::Range &A, const ClassSet::Range &B) {
+              return A.Lo < B.Lo;
+            });
+  size_t Kept = 0;
+  for (const ClassSet::Range &Rg : Pre)
+    if (Kept != 0 && Pre[Kept - 1].Hi == Rg.Lo)
+      Pre[Kept - 1].Hi = Rg.Hi;
+    else
+      Pre[Kept++] = Rg;
+  Pre.resize(Kept);
+  return Pre;
+}
+
 ClassSet ClassHierarchy::cone(ClassId C) const {
   requireFinalized("cone");
   assert(C.isValid() && C.value() < size() && "class out of range");

@@ -128,6 +128,11 @@ public:
             ConePool.data() + ConeBegin[C.value() + 1]};
   }
 
+  /// \p S in preorder space: sorted, disjoint, non-adjacent preorder
+  /// intervals, like coneIntervals().  Linear in S's runs when ClassId
+  /// order is preorder, in its members otherwise.
+  std::vector<ClassSet::Range> preorderRuns(const ClassSet &S) const;
+
   /// The class numbered \p Pre in DFS preorder (inverse of the numbering
   /// coneIntervals() is expressed in).
   ClassId classAtPreorder(uint32_t Pre) const {

@@ -68,7 +68,7 @@ metrics::Counter CtrDeadlineExpired("deadline.expired");
 RuntimeCore::RuntimeCore(const CompiledProgram &CP, RunOptions Opts,
                          CostModel Costs)
     : CP(CP), P(CP.program()), Opts(Opts), Costs(Costs),
-      Disp(Opts.Tables ? Dispatcher(*Opts.Tables) : Dispatcher(P)),
+      Disp(Opts.Tables ? Dispatcher(*Opts.Tables) : Dispatcher(CP)),
       StackBudget(nativeStackBudget()) {}
 
 RuntimeCore::~RuntimeCore() {

@@ -91,8 +91,12 @@ struct RunOptions {
   /// Shared dispatch tables (a CompiledSnapshot's).  When set, bytecode
   /// IC misses read them and the AST tier's Dispatcher becomes a
   /// per-thread cache over them; when null the Dispatcher owns tables of
-  /// its own.  Lookup results are identical either way.  Must outlive the
-  /// interpreter.
+  /// its own, built for the interpreter's CompiledProgram.  Tables built
+  /// for that same CompiledProgram hand a bytecode miss the selected
+  /// version in the cell it reads; tables built for no CompiledProgram
+  /// (DispatchTables(const Program &)) or another one leave version
+  /// selection to CompiledProgram::selectVersion.  Results are identical
+  /// either way.  Must outlive the interpreter.
   const DispatchTables *Tables = nullptr;
 };
 

@@ -77,9 +77,13 @@ public:
   /// `const CompiledProgram &` across serving threads, and the invoked
   /// bits are the one piece of instrumentation the interpreters still
   /// write — monotonic relaxed stores on dedicated atomics, so concurrent
-  /// marking is race-free and never perturbs RunStats.
+  /// marking is race-free and never perturbs RunStats.  The store happens
+  /// only while the bit is clear: after a version's first call, marking
+  /// it is a load of a cache line every serving thread keeps shared.
   void markInvoked(uint32_t Index) const {
-    InvokedBits[Index].store(1, std::memory_order_relaxed);
+    std::atomic<uint8_t> &Bit = InvokedBits[Index];
+    if (!Bit.load(std::memory_order_relaxed))
+      Bit.store(1, std::memory_order_relaxed);
   }
   bool invoked(uint32_t Index) const {
     return InvokedBits[Index].load(std::memory_order_relaxed) != 0;

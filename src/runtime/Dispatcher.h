@@ -41,10 +41,14 @@ public:
   /// (they still use the global memo table), as real PIC implementations
   /// do (Hölzle et al. use ~8).
   ///
-  /// This convenience overload owns its tables; single-threaded callers
-  /// keep working unchanged.
+  /// These convenience overloads own their tables (method-only, or
+  /// carrying \p CP's versions); single-threaded callers keep working
+  /// unchanged.
   explicit Dispatcher(const Program &P, unsigned PicCapacity = 8)
       : Owned(std::make_unique<DispatchTables>(P)), Tables(Owned.get()),
+        PicCapacity(PicCapacity) {}
+  explicit Dispatcher(const CompiledProgram &CP, unsigned PicCapacity = 8)
+      : Owned(std::make_unique<DispatchTables>(CP)), Tables(Owned.get()),
         PicCapacity(PicCapacity) {}
 
   /// Per-thread cache over shared immutable \p Tables (which must outlive

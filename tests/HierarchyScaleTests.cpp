@@ -16,13 +16,20 @@
 /// synthesizer (determinism, single-interval cones, cross-config/tier
 /// output equality).  The same random DAGs drive a differential of the
 /// lazily built DispatchTables against Program::dispatch (answers and
-/// per-position group counts), and two eight-thread races check that a
-/// table is built and published once per generic.
+/// per-position group counts).  Tables built for a CompiledProgram carry
+/// the selected version in every cell: differentials against
+/// Program::dispatch + selectVersion over every Table 2 program and
+/// configuration and over random DAGs with synthesized version tuples,
+/// the uint16_t group-id overflow fallback, and interpreters over
+/// method-only or foreign tables matching the snapshot path.  Three
+/// eight-thread races check that a table is built and published once
+/// per generic.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
+#include "bytecode/BytecodeInterpreter.h"
 #include "driver/Snapshot.h"
 #include "fuzz/ProgramGen.h"
 #include "hierarchy/ClassHierarchy.h"
@@ -665,6 +672,322 @@ TEST(DispatchTablesTest, MatchesProgramDispatchOnRandomDags) {
   }
 }
 
+//===----------------------------------------------------------------------===//
+// Versions in cells: every cell equals Program::dispatch + selectVersion
+//===----------------------------------------------------------------------===//
+
+/// Checks the (method, version) cell \p Tables holds for \p Args against
+/// the oracle: Program::dispatch, then \p CP's selectVersion.
+bool cellIsOracle(const DispatchTables &Tables, const CompiledProgram &CP,
+                  GenericId G, const std::vector<ClassId> &Args,
+                  const std::string &Ctx) {
+  const MethodId Want = CP.program().dispatch(G, Args);
+  const int WantVersion = Want.isValid() ? CP.selectVersion(Want, Args) : -1;
+  const DispatchTable::Cell Got = Tables.select(G, Args);
+  if (Got.Method == Want && Got.Version == WantVersion)
+    return true;
+  std::string Tuple;
+  for (ClassId C : Args)
+    Tuple += " " + std::to_string(C.value());
+  ADD_FAILURE() << Ctx << ": tuple" << Tuple << " cell (" << Got.Method.value()
+                << ", " << Got.Version << ") oracle (" << Want.value() << ", "
+                << WantVersion << ")";
+  return false;
+}
+
+/// Runs cellIsOracle over every class tuple of \p G at arity <= 2 and over
+/// 2000 seeded tuples above that; stops at \p G's first wrong cell.
+void expectCellsAreOracle(const DispatchTables &Tables,
+                          const CompiledProgram &CP, GenericId G,
+                          fuzz::Rng &R, const std::string &Ctx) {
+  const unsigned Arity = CP.program().generic(G).Arity;
+  const unsigned U = CP.program().Classes.size();
+  std::vector<ClassId> Args(Arity);
+  if (Arity <= 2) {
+    uint64_t Tuples = 1;
+    for (unsigned I = 0; I != Arity; ++I)
+      Tuples *= U;
+    for (uint64_t T = 0; T != Tuples; ++T) {
+      uint64_t Rest = T;
+      for (ClassId &C : Args) {
+        C = ClassId(static_cast<uint32_t>(Rest % U));
+        Rest /= U;
+      }
+      if (!cellIsOracle(Tables, CP, G, Args, Ctx))
+        return;
+    }
+    return;
+  }
+  for (unsigned K = 0; K != 2000; ++K) {
+    for (ClassId &C : Args)
+      C = ClassId(R.below(U));
+    if (!cellIsOracle(Tables, CP, G, Args, Ctx))
+      return;
+  }
+}
+
+/// Every Table 2 program under every configuration, Cust and Cust-MM with
+/// their many versions per method included: each cell's version is the
+/// one selectVersion picks for every tuple the cell covers.
+TEST(DispatchTableVersions, CellsMatchOracleOnPaperBenchmarks) {
+  const struct {
+    const char *Name;
+    std::vector<std::string> Files;
+    int64_t Train;
+  } Cases[] = {
+      {"richards", {"richards.mica"}, 30},
+      {"instsched", {"instsched.mica"}, 6},
+      {"typechecker", {"minilang.mica", "typechecker.mica"}, 8},
+      {"compiler", {"minilang.mica", "compiler.mica"}, 8},
+  };
+  for (const auto &Case : Cases) {
+    std::string Err;
+    std::unique_ptr<Workbench> W = Workbench::fromFiles(Case.Files, Err);
+    ASSERT_TRUE(W) << Case.Name << ": " << Err;
+    ASSERT_TRUE(W->collectProfile(Case.Train, Err)) << Case.Name << ": " << Err;
+    SelectiveOptions Sel;
+    Sel.SpecializationThreshold = 50;
+    for (Config C : {Config::Base, Config::Cust, Config::CustMM, Config::CHA,
+                     Config::Selective}) {
+      const std::string Ctx = std::string(Case.Name) + "/" + configName(C);
+      std::unique_ptr<CompiledProgram> CP = W->compileOnly(C, Sel);
+      ASSERT_TRUE(CP) << Ctx;
+      const Program &P = CP->program();
+      size_t MultiVersion = 0;
+      for (unsigned M = 0; M != P.numMethods(); ++M)
+        MultiVersion += CP->versionsOf(MethodId(M)).size() > 1;
+      if (C == Config::Cust || C == Config::CustMM)
+        EXPECT_GT(MultiVersion, 0u) << Ctx;
+
+      DispatchTables Tables(*CP);
+      EXPECT_EQ(Tables.compiledProgram(), CP.get());
+      fuzz::Rng R(7);
+      for (unsigned GI = 0; GI != P.numGenerics(); ++GI)
+        expectCellsAreOracle(Tables, *CP, GenericId(GI), R,
+                             Ctx + " generic " + std::to_string(GI));
+    }
+  }
+}
+
+/// Adds a body-less version of \p M for \p Tuple (table tests never run
+/// it).
+void addTupleVersion(CompiledProgram &CP, MethodId M, SpecTuple Tuple) {
+  CompiledMethod CM;
+  CM.Source = M;
+  CM.Tuple = std::move(Tuple);
+  CP.addVersion(std::move(CM));
+}
+
+/// A CompiledProgram over \p P with synthesized versions: every method
+/// keeps a general version (the cones of its specializers) and gains up to
+/// three more whose components are random cones, random sparse sets or the
+/// general component, so versions overlap, nest, and leave classes
+/// uncovered.
+std::unique_ptr<CompiledProgram> synthesizeVersions(const Program &P,
+                                                    fuzz::Rng &R) {
+  auto CP = std::make_unique<CompiledProgram>(P, Config::Base, false);
+  const ClassHierarchy &H = P.Classes;
+  const unsigned U = H.size();
+  for (unsigned MI = 0; MI != P.numMethods(); ++MI) {
+    const MethodInfo &Info = P.method(MethodId(MI));
+    SpecTuple General;
+    for (ClassId Spec : Info.Specializers)
+      General.push_back(H.cone(Spec));
+    addTupleVersion(*CP, MethodId(MI), General);
+    for (unsigned K = R.below(4); K != 0; --K) {
+      SpecTuple Tuple;
+      for (const ClassSet &G : General) {
+        switch (R.below(3)) {
+        case 0:
+          Tuple.push_back(H.cone(ClassId(R.below(U))));
+          break;
+        case 1: {
+          ClassSet S(U);
+          for (unsigned N = 1 + R.below(5); N != 0; --N)
+            S.insert(ClassId(R.below(U)));
+          Tuple.push_back(std::move(S));
+          break;
+        }
+        default:
+          Tuple.push_back(G);
+        }
+      }
+      addTupleVersion(*CP, MethodId(MI), std::move(Tuple));
+    }
+  }
+  return CP;
+}
+
+/// Random DAG generics with synthesized version tuples.  Besides the
+/// cells, each dispatched position must have exactly as many groups as
+/// there are distinct (specializer pattern, version-set membership)
+/// vectors, counted class by class: the refinement is exact and minimal.
+TEST(DispatchTableVersions, CellsMatchOracleOnRandomDagsWithSynthesizedVersions) {
+  for (uint64_t Seed = 1; Seed <= 10; ++Seed) {
+    fuzz::Rng R(Seed);
+    const std::vector<std::vector<unsigned>> ParentsOf = randomDag(R);
+    std::unique_ptr<Program> P =
+        buildProgram({randomDispatchProgram(R, ParentsOf)});
+    ASSERT_TRUE(P) << "seed " << Seed;
+    std::unique_ptr<CompiledProgram> CP = synthesizeVersions(*P, R);
+    const ClassHierarchy &H = P->Classes;
+    DispatchTables Tables(*CP);
+
+    for (unsigned GI = 0; GI != std::size(RandomGenericArity); ++GI) {
+      const unsigned Arity = RandomGenericArity[GI];
+      const std::string Ctx =
+          "seed " + std::to_string(Seed) + " g" + std::to_string(GI);
+      GenericId G =
+          P->lookupGeneric(P->Syms.find("g" + std::to_string(GI)), Arity);
+      ASSERT_TRUE(G.isValid());
+      const GenericInfo &Info = P->generic(G);
+      const DispatchTable &T = Tables.table(G);
+      ASSERT_TRUE(T.materialized()) << Ctx;
+
+      unsigned Dispatched = 0;
+      for (unsigned Pos = 0; Pos != Arity; ++Pos) {
+        std::vector<const ClassSet *> Sets;
+        bool Constrained = false;
+        for (MethodId M : Info.Methods) {
+          Constrained |= P->method(M).Specializers[Pos] != H.root();
+          for (uint32_t V : CP->versionsOf(M))
+            if (!CP->version(V).Tuple[Pos].isAll())
+              Sets.push_back(&CP->version(V).Tuple[Pos]);
+        }
+        if (!Constrained && Sets.empty())
+          continue;
+        std::set<std::vector<bool>> Patterns;
+        for (unsigned C = 0; C != H.size(); ++C) {
+          std::vector<bool> Pattern;
+          for (MethodId M : Info.Methods)
+            Pattern.push_back(
+                H.isSubclassOf(ClassId(C), P->method(M).Specializers[Pos]));
+          for (const ClassSet *S : Sets)
+            Pattern.push_back(S->contains(ClassId(C)));
+          Patterns.insert(Pattern);
+        }
+        ASSERT_LT(Dispatched, T.numDispatchedPositions()) << Ctx;
+        EXPECT_EQ(T.numGroups(Dispatched), Patterns.size())
+            << Ctx << " position " << Pos;
+        ++Dispatched;
+      }
+      EXPECT_EQ(T.numDispatchedPositions(), Dispatched) << Ctx;
+      expectCellsAreOracle(Tables, *CP, G, R, Ctx);
+    }
+  }
+}
+
+/// Group ids are uint16_t: a position with more groups than that takes the
+/// degraded path (Program::dispatch + selectVersion) instead of
+/// truncating ids.  65,537 singleton versions of one method give its
+/// position 65,539 groups (the singletons, the rest of the method's cone,
+/// and the builtins outside it).
+TEST(DispatchTableVersions, PositionWithMoreGroupsThanUint16FallsBack) {
+  constexpr unsigned Singletons = 65537;
+  std::string Src = "class C0;\n";
+  for (unsigned I = 1; I <= Singletons + 1; ++I)
+    Src += "class C" + std::to_string(I) + " isa C0;\n";
+  Src += "method g(x@C0) { 1; }\nmethod main(n@Int) { n; }\n";
+  std::unique_ptr<Program> P = buildProgram({Src});
+  ASSERT_TRUE(P);
+  const ClassHierarchy &H = P->Classes;
+  GenericId G = P->lookupGeneric(P->Syms.find("g"), 1);
+  ASSERT_TRUE(G.isValid());
+  const MethodId M = P->generic(G).Methods[0];
+  const ClassId Root = H.lookup(P->Syms.find("C0"));
+
+  CompiledProgram CP(*P, Config::Base, false);
+  for (unsigned MI = 0; MI != P->numMethods(); ++MI) {
+    SpecTuple General;
+    for (ClassId Spec : P->method(MethodId(MI)).Specializers)
+      General.push_back(H.cone(Spec));
+    addTupleVersion(CP, MethodId(MI), std::move(General));
+  }
+  std::vector<ClassId> Classes;
+  for (unsigned I = 1; I <= Singletons + 1; ++I)
+    Classes.push_back(H.lookup(P->Syms.find("C" + std::to_string(I))));
+  for (unsigned I = 0; I != Singletons; ++I)
+    addTupleVersion(CP, M, {ClassSet::single(H.size(), Classes[I])});
+
+  const uint64_t Fallbacks =
+      metrics::named("dispatch.table_fallbacks").value();
+  DispatchTable T(CP, G);
+  EXPECT_FALSE(T.materialized());
+  EXPECT_EQ(T.tableSize(), 0u);
+  EXPECT_EQ(metrics::named("dispatch.table_fallbacks").value(), Fallbacks + 1);
+
+  // A method-only table of the same generic has two groups and fits.
+  DispatchTable MethodOnly(*P, G);
+  EXPECT_TRUE(MethodOnly.materialized());
+  EXPECT_EQ(MethodOnly.numGroups(0), 2u);
+
+  // The degraded table still answers like the oracle.
+  const ClassId Int = H.lookup(P->Syms.find("Int"));
+  for (ClassId C : {Root, Classes[0], Classes[Singletons / 2],
+                    Classes[Singletons - 1], Classes[Singletons], Int}) {
+    const MethodId Want = P->dispatch(G, {C});
+    const DispatchTable::Cell Got = T.select({C});
+    EXPECT_EQ(Got.Method, Want);
+    EXPECT_EQ(Got.Version,
+              Want.isValid() ? CP.selectVersion(Want, {C}) : -1);
+    EXPECT_EQ(T.lookup({C}), Want);
+  }
+}
+
+/// perfbench's layer probe runs a BytecodeInterpreter over method-only
+/// DispatchTables(P), and a caller may pass tables built for another
+/// CompiledProgram of the same Program.  The cells carry no versions of
+/// the running program then, so a miss selects the version itself, and
+/// the run must equal the snapshot path's, whose cells do carry them.
+TEST(DispatchTableVersions, ForeignTablesRunLikeTheSnapshot) {
+  const struct {
+    const char *Name;
+    std::vector<std::string> Files;
+    int64_t Input;
+  } Cases[] = {
+      {"richards", {"richards.mica"}, 30},
+      {"instsched", {"instsched.mica"}, 6},
+      {"typechecker", {"minilang.mica", "typechecker.mica"}, 8},
+      {"compiler", {"minilang.mica", "compiler.mica"}, 8},
+  };
+  for (const auto &Case : Cases) {
+    std::string Err;
+    std::unique_ptr<Workbench> W = Workbench::fromFiles(Case.Files, Err);
+    ASSERT_TRUE(W) << Case.Name << ": " << Err;
+    ASSERT_TRUE(W->collectProfile(Case.Input, Err)) << Case.Name << ": " << Err;
+    W->setTier(ExecTier::Bytecode);
+    for (Config C : {Config::Cust, Config::Selective}) {
+      const std::string Ctx = std::string(Case.Name) + "/" + configName(C);
+      std::shared_ptr<const CompiledSnapshot> Snap = W->buildSnapshot(C, Err);
+      ASSERT_TRUE(Snap && Snap->bytecode()) << Ctx << ": " << Err;
+      EXPECT_EQ(Snap->tables().compiledProgram(), &Snap->compiled()) << Ctx;
+      CompiledSnapshot::JobResult Reference = Snap->run(Case.Input);
+      ASSERT_TRUE(Reference.Ok) << Ctx << ": " << Reference.Error;
+
+      std::unique_ptr<CompiledProgram> Other =
+          W->compileOnly(C == Config::Cust ? Config::Selective : Config::Cust);
+      ASSERT_TRUE(Other) << Ctx;
+      DispatchTables MethodOnly(Snap->program());
+      DispatchTables ForOther(*Other);
+      for (const DispatchTables *Tables : {&MethodOnly, &ForOther}) {
+        const std::string Label =
+            Ctx + (Tables == &MethodOnly ? " method-only" : " other-CP");
+        std::ostringstream Output;
+        RunOptions RO;
+        RO.Output = &Output;
+        RO.Tables = Tables;
+        BytecodeInterpreter I(Snap->compiled(), *Snap->bytecode(), RO);
+        ASSERT_TRUE(I.callMain(Case.Input)) << Label << ": "
+                                            << I.errorMessage();
+        EXPECT_EQ(Output.str(), Reference.R.Output) << Label;
+        expectSameStats(I.stats(), Reference.R.Run, Label);
+        EXPECT_GT(I.icMisses(), 0u) << Label;
+        EXPECT_EQ(I.icMisdispatches(), 0u) << Label;
+      }
+    }
+  }
+}
+
 // Eight threads take their first dispatch miss on the same generic of one
 // shared snapshot at once.  One builds and publishes the table, the rest
 // wait for it or read it; every job prints the single-threaded answer,
@@ -718,6 +1041,36 @@ TEST(DispatchTablesRace, EightThreadsFirstMissOnOneSnapshot) {
   }
 }
 
+/// Eight threads ask \p Tables for \p G's table at once; all must get the
+/// same table, built once, and read cells equal to the oracle through it:
+/// Program::dispatch, then \p CP's selectVersion when the cells carry
+/// versions.
+void raceFirstTableRequest(const DispatchTables &Tables,
+                           const CompiledProgram *CP, GenericId G) {
+  const Program &P = Tables.program();
+  metrics::Counter &Built = metrics::named("dispatch.tables_built");
+  const uint64_t Before = Built.value();
+  std::vector<const DispatchTable *> Seen(8);
+  std::latch Start(8);
+  std::vector<std::thread> Threads;
+  for (size_t I = 0; I != Seen.size(); ++I)
+    Threads.emplace_back([&, I] {
+      Start.arrive_and_wait();
+      Seen[I] = &Tables.table(G);
+      // Read through the published table, as a dispatch would.
+      std::vector<ClassId> Args(2, ClassId(static_cast<uint32_t>(I)));
+      const MethodId Want = P.dispatch(G, Args);
+      EXPECT_EQ(Seen[I]->lookup(Args), Want);
+      EXPECT_EQ(Seen[I]->select(Args).Version,
+                CP && Want.isValid() ? CP->selectVersion(Want, Args) : -1);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Built.value() - Before, 1u);
+  for (const DispatchTable *T : Seen)
+    EXPECT_EQ(T, Seen[0]);
+}
+
 // The publication itself, without an interpreter around it: eight threads
 // ask a fresh DispatchTables for one generic's table at once, all get the
 // same table, and it is built once.
@@ -728,25 +1081,22 @@ TEST(DispatchTablesRace, EightThreadsShareOnePublishedTable) {
   ASSERT_TRUE(P);
   GenericId G = P->lookupGeneric(P->Syms.find("g3"), 2);
   ASSERT_TRUE(G.isValid());
-  metrics::Counter &Built = metrics::named("dispatch.tables_built");
-  const uint64_t Before = Built.value();
   DispatchTables Tables(*P);
-  std::vector<const DispatchTable *> Seen(8);
-  std::latch Start(8);
-  std::vector<std::thread> Threads;
-  for (size_t I = 0; I != Seen.size(); ++I)
-    Threads.emplace_back([&, I] {
-      Start.arrive_and_wait();
-      Seen[I] = &Tables.table(G);
-      // Read through the published table, as a dispatch would.
-      std::vector<ClassId> Args(2, ClassId(static_cast<uint32_t>(I)));
-      EXPECT_EQ(Seen[I]->lookup(Args), P->dispatch(G, Args));
-    });
-  for (std::thread &T : Threads)
-    T.join();
-  EXPECT_EQ(Built.value() - Before, 1u);
-  for (const DispatchTable *T : Seen)
-    EXPECT_EQ(T, Seen[0]);
+  raceFirstTableRequest(Tables, nullptr, G);
+}
+
+// The same race over tables built for a CompiledProgram, whose cells also
+// carry the selected version.
+TEST(DispatchTablesRace, EightThreadsShareOnePublishedCompiledTable) {
+  fuzz::Rng R(42);
+  std::unique_ptr<Program> P =
+      buildProgram({randomDispatchProgram(R, randomDag(R))});
+  ASSERT_TRUE(P);
+  GenericId G = P->lookupGeneric(P->Syms.find("g3"), 2);
+  ASSERT_TRUE(G.isValid());
+  std::unique_ptr<CompiledProgram> CP = synthesizeVersions(*P, R);
+  DispatchTables Tables(*CP);
+  raceFirstTableRequest(Tables, CP.get(), G);
 }
 
 } // namespace

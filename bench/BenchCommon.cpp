@@ -193,7 +193,6 @@ bool selspec::bench::writeBenchJson(const SuiteResult &R) {
        << "      \"nodes_evaluated\": " << S.NodesEvaluated << ",\n"
        << "      \"peak_depth\": " << S.PeakDepth << ",\n"
        << "      \"cycles\": " << S.Cycles << ",\n"
-       << "      \"wall_ns\": " << CR.WallNanos << ",\n"
        << "      \"compiled_routines\": " << CR.CompiledRoutines << ",\n"
        << "      \"invoked_routines\": " << CR.InvokedRoutines << ",\n"
        << "      \"code_size\": " << CR.CodeSize << "\n"

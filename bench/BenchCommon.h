@@ -63,8 +63,9 @@ SuiteResult runSuiteProgram(const BenchProgram &Program,
                             const SelectiveOptions &Sel);
 
 /// Writes BENCH_<name>.json in the working directory: one record per
-/// configuration with the dispatch counters, modeled cycles and measured
-/// wall-clock, plus the execution tier and `git describe` of the tree,
+/// configuration with the dispatch counters and modeled cycles (no
+/// wall-clock: one unrepeated run is noise, so measured speed comes from
+/// perfbench), plus the execution tier and `git describe` of the tree,
 /// for machine consumption (the files are gitignored).  Overwriting a
 /// file measured on a different tier warns on stderr.  Returns false
 /// (after a warning on stderr) if the file cannot be written; benches

@@ -6,9 +6,12 @@
 ///
 /// \file
 /// google-benchmark microbenchmarks of the runtime lookup mechanisms the
-/// paper discusses in Section 3.5: per-site polymorphic inline caches,
-/// the global memo table, full most-specific-applicable lookup, and
-/// version selection among specialized method versions.
+/// paper discusses in Section 3.5: full most-specific-applicable lookup,
+/// a compressed dispatch-table read (the AST tier's whole lookup, and the
+/// bytecode tier's inline-cache miss), and version selection among
+/// specialized method versions, plus end-to-end richards runs on both
+/// tiers, where the bytecode tier's per-site inline caches are the only
+/// dispatch cache.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +20,6 @@
 #include "bytecode/BytecodeCompiler.h"
 #include "bytecode/BytecodeInterpreter.h"
 #include "runtime/DispatchTable.h"
-#include "runtime/Dispatcher.h"
 
 #include <benchmark/benchmark.h>
 
@@ -58,50 +60,6 @@ GenericId hitGeneric(const Program &P) {
 ClassId shapeClass(const Program &P, int I) {
   return P.Classes.lookup(P.Syms.find("S" + std::to_string(I)));
 }
-
-void BM_PicHitMonomorphic(benchmark::State &State) {
-  std::unique_ptr<Workbench> W = makeLookupProgram();
-  const Program &P = W->program();
-  Dispatcher D(P);
-  GenericId G = hitGeneric(P);
-  std::vector<ClassId> Args = {shapeClass(P, 0), shapeClass(P, 1)};
-  CallSiteId Site(0);
-  D.lookup(G, Args, Site); // warm the PIC
-  for (auto _ : State)
-    benchmark::DoNotOptimize(D.lookup(G, Args, Site));
-}
-BENCHMARK(BM_PicHitMonomorphic);
-
-void BM_PicHitPolymorphicDegree4(benchmark::State &State) {
-  std::unique_ptr<Workbench> W = makeLookupProgram();
-  const Program &P = W->program();
-  Dispatcher D(P);
-  GenericId G = hitGeneric(P);
-  CallSiteId Site(1);
-  std::vector<std::vector<ClassId>> Cases;
-  for (int I = 0; I != 4; ++I) {
-    Cases.push_back({shapeClass(P, I), shapeClass(P, (I + 1) % 4)});
-    D.lookup(G, Cases.back(), Site); // warm
-  }
-  size_t K = 0;
-  for (auto _ : State) {
-    benchmark::DoNotOptimize(D.lookup(G, Cases[K & 3], Site));
-    ++K;
-  }
-}
-BENCHMARK(BM_PicHitPolymorphicDegree4);
-
-void BM_GlobalMemoHit(benchmark::State &State) {
-  std::unique_ptr<Workbench> W = makeLookupProgram();
-  const Program &P = W->program();
-  Dispatcher D(P);
-  GenericId G = hitGeneric(P);
-  std::vector<ClassId> Args = {shapeClass(P, 2), shapeClass(P, 3)};
-  D.lookup(G, Args, CallSiteId()); // warm the memo, bypassing PICs
-  for (auto _ : State)
-    benchmark::DoNotOptimize(D.lookup(G, Args, CallSiteId()));
-}
-BENCHMARK(BM_GlobalMemoHit);
 
 void BM_FullLookup(benchmark::State &State) {
   std::unique_ptr<Workbench> W = makeLookupProgram();
@@ -164,8 +122,8 @@ void BM_EndToEndDispatchRichards(benchmark::State &State) {
 BENCHMARK(BM_EndToEndDispatchRichards)->Arg(0)->Arg(1);
 
 void BM_EndToEndDispatchRichardsBytecode(benchmark::State &State) {
-  // Same run on the bytecode tier: per-site inline caches missing into
-  // the dispatch tables replace the dispatcher's PIC and memo, so the
+  // Same run on the bytecode tier: per-site inline caches miss into the
+  // dispatch tables the AST tier reads on every send, so the
   // Base-vs-Selective gap here isolates what specialization still buys
   // once sends are cached.
   std::string Err;

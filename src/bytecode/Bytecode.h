@@ -30,8 +30,8 @@
 /// between tiers.
 ///
 /// Call sites consult a small inline cache of (class tuple -> method,
-/// version) entries before the Dispatcher's PIC/memo machinery, so the
-/// hot dispatch path is a handful of compares instead of hash probes.
+/// version) entries before reading the shared dispatch tables, so the
+/// hot dispatch path is a handful of compares instead of a table read.
 /// The mutable IC state does NOT live in the module: a BcModule is part
 /// of an immutable, thread-shared CompiledSnapshot, so each BcSite (and
 /// each slot-access site) carries only a dense index (IcSlot/CacheSlot)
@@ -174,7 +174,7 @@ inline uint32_t bcBranchRegion(const Insn &I) {
 }
 
 /// Inline-cache geometry: entries per site and the widest class tuple an
-/// entry can hold (wider tuples always take the Dispatcher path).
+/// entry can hold (wider tuples always read the dispatch tables).
 constexpr unsigned BcIcEntries = 4;
 constexpr unsigned BcIcMaxArity = 6;
 

@@ -13,8 +13,7 @@
 /// adds only how bytecode runs: the dispatch loop (computed goto under
 /// GCC/Clang, a switch elsewhere), the call-instruction family with its
 /// per-thread inline caches, whose misses read the shared compressed
-/// dispatch tables (DispatchTables) directly, never the AST tier's
-/// Dispatcher PICs and memo, and charge regions.  When the tables were
+/// dispatch tables (DispatchTables) directly, and charge regions.  When the tables were
 /// built for this interpreter's CompiledProgram (a snapshot's, or the
 /// core's own), a miss is one cell read that yields the method and its
 /// selected version; over tables built for no CompiledProgram or another
@@ -132,7 +131,7 @@ private:
 
   const BcModule &Mod;
   /// The dispatch tables IC misses read: the snapshot's shared ones, or
-  /// the Dispatcher's own when RunOptions::Tables is null.
+  /// the core's own when RunOptions::Tables is null.
   const DispatchTables &Tables;
   /// Tables' cells carry this CP's versions (built for it); otherwise a
   /// miss selects the version with CompiledProgram::selectVersion.

@@ -12,7 +12,7 @@
 #include "profile/ProfileDb.h"
 #include "support/FailPoint.h"
 #include "support/Metrics.h"
-#include "support/PhaseTimer.h"
+#include "support/TraceEmitter.h"
 
 #include <chrono>
 #include <fstream>
@@ -62,7 +62,7 @@ bool Workbench::init(const std::vector<std::string> &Sources,
   P->addBuiltins();
   Diagnostics Diags;
   {
-    PhaseTimer::Scope Timing("parse");
+    TraceEmitter::Scope Timing("parse");
     for (const std::string &Src : Sources) {
       SourceLines += static_cast<unsigned>(
           std::count(Src.begin(), Src.end(), '\n'));
@@ -75,7 +75,7 @@ bool Workbench::init(const std::vector<std::string> &Sources,
   if (!phaseGate("pipeline.parse", "resolve", ErrorOut))
     return false;
   {
-    PhaseTimer::Scope Timing("resolve");
+    TraceEmitter::Scope Timing("resolve");
     if (!P->resolve(Diags)) {
       ErrorOut = Diags.toString();
       return false;
@@ -84,7 +84,7 @@ bool Workbench::init(const std::vector<std::string> &Sources,
   if (!phaseGate("pipeline.resolve", "cha", ErrorOut))
     return false;
   {
-    PhaseTimer::Scope Timing("cha");
+    TraceEmitter::Scope Timing("cha");
     AC = std::make_unique<ApplicableClassesAnalysis>(*P);
     PT = std::make_unique<PassThroughAnalysis>(*P);
   }
@@ -167,7 +167,7 @@ bool Workbench::collectProfile(int64_t Input, std::string &ErrorOut) {
   // Either tier is a RuntimeCore, and both record identical profiles
   // (arcs are gathered at the same sites).
   auto RunProfile = [&](RuntimeCore &I) {
-    PhaseTimer::Scope Timing("profile");
+    TraceEmitter::Scope Timing("profile");
     if (!I.callMain(Input)) {
       LastTrap = I.trap();
       ErrorOut = "profile run failed: " + I.errorMessage();
@@ -180,7 +180,7 @@ bool Workbench::collectProfile(int64_t Input, std::string &ErrorOut) {
   if (Tier == ExecTier::Bytecode) {
     BcModule Mod;
     {
-      PhaseTimer::Scope Timing("bytecode-compile");
+      TraceEmitter::Scope Timing("bytecode-compile");
       Mod = compileToBytecode(*CP);
     }
     if (Mod.Ok) {

@@ -9,7 +9,7 @@
 #include "bytecode/BytecodeCompiler.h"
 #include "bytecode/BytecodeInterpreter.h"
 #include "support/Metrics.h"
-#include "support/PhaseTimer.h"
+#include "support/TraceEmitter.h"
 
 #include <chrono>
 #include <sstream>
@@ -31,11 +31,7 @@ void collectDelta(std::vector<std::pair<std::string, uint64_t>> &MD,
                   const RunStats &S, const Dispatcher::Stats &D) {
   RuntimeCore::appendStatCounters(S, MD);
   MD.emplace_back("dispatcher.lookups", D.Lookups);
-  MD.emplace_back("dispatcher.pic_hits", D.PicHits);
-  MD.emplace_back("dispatcher.memo_hits", D.MemoHits);
   MD.emplace_back("dispatcher.full_lookups", D.FullLookups);
-  MD.emplace_back("dispatcher.megamorphic_sites", D.MegamorphicSites);
-  MD.emplace_back("dispatcher.memo_collisions", D.MemoCollisions);
 }
 
 } // namespace
@@ -67,7 +63,7 @@ CompiledSnapshot::run(int64_t Input, const JobOptions &Opts) const {
   auto Measure = [&](RuntimeCore &I) {
     bool Ok;
     {
-      PhaseTimer::Scope Timing("run");
+      TraceEmitter::Scope Timing("run");
       auto Start = std::chrono::steady_clock::now();
       Ok = I.callMain(Input);
       J.R.WallNanos = static_cast<uint64_t>(
@@ -146,7 +142,7 @@ Workbench::buildSnapshot(Config C, std::string &ErrorOut,
   // RunStats are identical either way, only wall clock differs.
   ExecTier SnapTier = Tier;
   if (SnapTier == ExecTier::Bytecode) {
-    PhaseTimer::Scope Timing("bytecode-compile");
+    TraceEmitter::Scope Timing("bytecode-compile");
     Snap->Mod = compileToBytecode(*Snap->CP);
     if (!Snap->Mod.Ok) {
       Diags.warning(SourceLoc(), "bytecode tier unavailable (" +

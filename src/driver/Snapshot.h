@@ -17,7 +17,8 @@
 ///     published dispatch table;
 ///   - per-thread, created per job by run(): Interpreter or
 ///     BytecodeInterpreter with its FramePool, argument stack, Heap,
-///     bytecode IC side-tables, and (AST tier) Dispatcher memo/PIC cache;
+///     and bytecode IC side-tables (the AST tier keeps no dispatch cache:
+///     every dynamic send reads the shared tables);
 ///   - the two documented exceptions: CompiledProgram's atomic invoked
 ///     bits (monotonic relaxed stores, Figure 6 accounting), and each
 ///     generic's one-time dispatch-table publication at its first lookup

@@ -362,13 +362,16 @@ Value Interpreter::invokeVersion(const CompiledMethod &CM, size_t ArgsBase,
 Value Interpreter::dispatchCall(const SendExpr *S, size_t ArgsBase,
                                 Control &C) {
   gatherClasses(ArgStack.data() + ArgsBase, ArgStack.size() - ArgsBase);
-  MethodId Target = Disp.lookup(S->Generic, ClassScratch, S->Site);
+  MethodId Target = Disp.lookup(S->Generic, ClassScratch);
   if (!Target.isValid())
     return failDispatch(C, S);
 
   recordArc(S->Site, Target);
   ++Stats.DynamicDispatches;
   Stats.Cycles += Costs.DynamicDispatchCost;
+  // The version comes from selectVersion, never from the table cell the
+  // bytecode tier reads: this tier is the oracle the tier-agreement
+  // checks hold those cells to.
   return invokeMethod(Target, CP.selectVersion(Target, ClassScratch),
                       ArgsBase, S->getLoc(), C);
 }
@@ -419,9 +422,9 @@ Value Interpreter::evalSend(const SendExpr *S, Frame &F, Control &C) {
   case SendBindKind::FeedbackGuard: {
     gatherClasses(Args, NumArgs);
     // The modeled machine executes an inline-cache class test; this
-    // implementation realizes the test via the dispatcher.
+    // implementation realizes the test with a dispatch-table read.
     Stats.Cycles += Costs.PredictTestCost;
-    MethodId Real = Disp.lookup(S->Generic, ClassScratch, S->Site);
+    MethodId Real = Disp.lookup(S->Generic, ClassScratch);
     if (!Real.isValid())
       return failDispatch(C, S);
     recordArc(S->Site, Real);

@@ -89,14 +89,14 @@ struct RunOptions {
   /// branch per node.
   const CancelToken *Cancel = nullptr;
   /// Shared dispatch tables (a CompiledSnapshot's).  When set, bytecode
-  /// IC misses read them and the AST tier's Dispatcher becomes a
-  /// per-thread cache over them; when null the Dispatcher owns tables of
-  /// its own, built for the interpreter's CompiledProgram.  Tables built
-  /// for that same CompiledProgram hand a bytecode miss the selected
-  /// version in the cell it reads; tables built for no CompiledProgram
-  /// (DispatchTables(const Program &)) or another one leave version
-  /// selection to CompiledProgram::selectVersion.  Results are identical
-  /// either way.  Must outlive the interpreter.
+  /// IC misses and every AST-tier dynamic send read them; when null the
+  /// Dispatcher owns tables of its own, built for the interpreter's
+  /// CompiledProgram.  Tables built for that same CompiledProgram hand a
+  /// bytecode miss the selected version in the cell it reads; tables
+  /// built for no CompiledProgram (DispatchTables(const Program &)) or
+  /// another one leave version selection to
+  /// CompiledProgram::selectVersion, which the AST tier always uses.
+  /// Results are identical either way.  Must outlive the interpreter.
   const DispatchTables *Tables = nullptr;
 };
 

@@ -22,7 +22,7 @@
 
 #include "lang/SlotResolver.h"
 
-#include "support/PhaseTimer.h"
+#include "support/TraceEmitter.h"
 
 #include <cassert>
 #include <memory>
@@ -243,6 +243,6 @@ private:
 
 FrameLayout SlotResolver::resolve(const std::vector<Symbol> &Params,
                                   Expr *Body) {
-  PhaseTimer::Scope Timing("slot-resolve");
+  TraceEmitter::Scope Timing("slot-resolve");
   return ResolverImpl().run(Params, Body);
 }

@@ -9,7 +9,7 @@
 #include "analysis/StaticBinding.h"
 #include "hierarchy/Builtins.h"
 #include "lang/SlotResolver.h"
-#include "support/PhaseTimer.h"
+#include "support/TraceEmitter.h"
 
 #include <algorithm>
 
@@ -134,7 +134,7 @@ static ClassSet returnSetOr(const ReturnClassAnalysis *RC, MethodId M,
 
 std::unique_ptr<CompiledProgram>
 Optimizer::compile(const SpecializationPlan &Plan) {
-  PhaseTimer::Scope Timing("optimize");
+  TraceEmitter::Scope Timing("optimize");
   auto CP = std::make_unique<CompiledProgram>(P, Plan.Configuration,
                                               Plan.UseCHA);
 

@@ -9,7 +9,7 @@
 #include "hierarchy/Program.h"
 #include "support/FailPoint.h"
 #include "support/Metrics.h"
-#include "support/PhaseTimer.h"
+#include "support/TraceEmitter.h"
 
 #include <cerrno>
 #include <cstdio>
@@ -271,7 +271,7 @@ struct SaveOutcome {
 
 bool ProfileDb::saveToFile(const std::string &Path,
                            Diagnostics &Diags) const {
-  PhaseTimer::Scope Timing("profiledb.save");
+  TraceEmitter::Scope Timing("profiledb.save");
   SaveOutcome Outcome;
   // Crash-safe sequence: temp write -> fsync -> rotate old -> rename.
   // Each failpoint returns immediately, leaving exactly the disk state a
@@ -373,7 +373,7 @@ bool ProfileDb::loadOneFile(const std::string &Path, Diagnostics &Diags) {
 }
 
 bool ProfileDb::loadFromFile(const std::string &Path, Diagnostics &Diags) {
-  PhaseTimer::Scope Timing("profiledb.load");
+  TraceEmitter::Scope Timing("profiledb.load");
   Diagnostics Primary;
   bool PrimaryOk = false;
   if (failpoint::anyArmed() && failpoint::triggered("profiledb.load.open"))

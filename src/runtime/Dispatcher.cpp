@@ -13,104 +13,11 @@ using namespace selspec;
 namespace {
 
 metrics::Counter CtrLookups("dispatcher.lookups");
-metrics::Counter CtrPicHits("dispatcher.pic_hits");
-metrics::Counter CtrMemoHits("dispatcher.memo_hits");
 metrics::Counter CtrFullLookups("dispatcher.full_lookups");
-metrics::Counter CtrMegamorphicSites("dispatcher.megamorphic_sites");
-metrics::Counter CtrMemoCollisions("dispatcher.memo_collisions");
 
 } // namespace
 
 Dispatcher::~Dispatcher() {
-  CtrLookups.add(Cache.S.Lookups);
-  CtrPicHits.add(Cache.S.PicHits);
-  CtrMemoHits.add(Cache.S.MemoHits);
-  CtrFullLookups.add(Cache.S.FullLookups);
-  CtrMegamorphicSites.add(Cache.S.MegamorphicSites);
-  CtrMemoCollisions.add(Cache.S.MemoCollisions);
-}
-
-uint64_t Dispatcher::tupleKey(GenericId G,
-                              const std::vector<ClassId> &ArgClasses) {
-  // FNV-style mix of the generic id and argument classes.  The shift
-  // discards high bits once 10 * arity exceeds the word, so distinct
-  // tuples can and do alias at higher arities; the memo stores the exact
-  // tuple and lookup() verifies it on every hit, so a collision costs one
-  // full dispatch, never a wrong target.
-  uint64_t Key = G.value();
-  for (ClassId C : ArgClasses)
-    Key = (Key << 10) ^ (C.value() + 1);
-  return Key;
-}
-
-unsigned Dispatcher::picSize(CallSiteId Site) const {
-  auto It = Cache.Pics.find(Site.value());
-  return It == Cache.Pics.end()
-             ? 0
-             : static_cast<unsigned>(It->second.Entries.size());
-}
-
-MethodId Dispatcher::lookup(GenericId G,
-                            const std::vector<ClassId> &ArgClasses,
-                            CallSiteId Site) {
-  ++Cache.S.Lookups;
-
-  // Probe the site's PIC if it already has one; never create a record on
-  // the probe itself, or every failed/one-shot site would own an empty
-  // Pic forever.
-  struct Pic *SitePic = nullptr;
-  if (Site.isValid()) {
-    auto PicIt = Cache.Pics.find(Site.value());
-    if (PicIt != Cache.Pics.end()) {
-      SitePic = &PicIt->second;
-      if (!SitePic->Megamorphic) {
-        for (const PicEntry &E : SitePic->Entries) {
-          if (E.Classes == ArgClasses) {
-            ++Cache.S.PicHits;
-            return E.Target;
-          }
-        }
-      }
-    }
-  }
-
-  uint64_t Key = tupleKey(G, ArgClasses);
-  MethodId Target;
-  auto It = Cache.Memo.find(Key);
-  if (It != Cache.Memo.end() && It->second.Generic == G &&
-      It->second.Classes == ArgClasses) {
-    ++Cache.S.MemoHits;
-    Target = It->second.Target;
-  } else {
-    if (It != Cache.Memo.end())
-      ++Cache.S.MemoCollisions;
-    ++Cache.S.FullLookups;
-    Target = Tables->dispatch(G, ArgClasses);
-    if (It != Cache.Memo.end())
-      It->second = {G, ArgClasses, Target};
-    else
-      Cache.Memo.emplace(Key, MemoEntry{G, ArgClasses, Target});
-  }
-
-  if (Site.isValid() && Target.isValid()) {
-    // Only materialize the Pic once there is a valid target to cache.
-    // (unordered_map insertion never invalidates references to other
-    // elements, so a SitePic found above stays usable.)
-    Pic &ThePic = SitePic ? *SitePic : Cache.Pics[Site.value()];
-    if (!ThePic.Megamorphic) {
-      // Insert first; demote only when the cap is actually exceeded, so a
-      // site that observes exactly PicCapacity tuples keeps serving PIC
-      // hits for all of them.
-      ThePic.Entries.push_back({ArgClasses, Target});
-      if (ThePic.Entries.size() > PicCapacity) {
-        // The site is megamorphic: caching per-site no longer pays; drop
-        // the cache and rely on the global memo from now on.
-        ThePic.Megamorphic = true;
-        ThePic.Entries.clear();
-        ThePic.Entries.shrink_to_fit();
-        ++Cache.S.MegamorphicSites;
-      }
-    }
-  }
-  return Target;
+  CtrLookups.add(S.Lookups);
+  CtrFullLookups.add(S.FullLookups);
 }

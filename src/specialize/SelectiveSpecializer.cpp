@@ -8,7 +8,7 @@
 
 #include "analysis/StaticBinding.h"
 #include "opt/ClassAnalysis.h"
-#include "support/PhaseTimer.h"
+#include "support/TraceEmitter.h"
 
 #include <algorithm>
 
@@ -92,7 +92,7 @@ bool SelectiveSpecializer::hasSpecialization(MethodId Meth,
 void SelectiveSpecializer::run() {
   assert(!Ran && "run() must be called once");
   Ran = true;
-  PhaseTimer::Scope Timing("specialize");
+  TraceEmitter::Scope Timing("specialize");
 
   if (Options.SpaceBudgetVersions == 0) {
     // Figure 4: visit each method, considering its outgoing arcs.

@@ -6,7 +6,7 @@
 
 #include "specialize/Strategies.h"
 
-#include "support/PhaseTimer.h"
+#include "support/TraceEmitter.h"
 
 using namespace selspec;
 
@@ -104,7 +104,7 @@ SpecializationPlan selspec::makePlan(Config C, const Program &P,
                                      const CallGraph *CG,
                                      const SelectiveOptions &Options,
                                      Diagnostics *Diags) {
-  PhaseTimer::Scope Timing("plan");
+  TraceEmitter::Scope Timing("plan");
   SpecializationPlan Plan;
   Plan.Configuration = C;
   Plan.VersionsByMethod.resize(P.numMethods());

@@ -22,7 +22,7 @@
 /// parent and from any future threading, free of contention today.
 ///
 /// Naming scheme: `<subsystem>.<counter>` in snake_case, e.g.
-/// `dispatcher.memo_collisions`, `profiledb.load_recoveries`.  Counters
+/// `dispatcher.full_lookups`, `profiledb.load_recoveries`.  Counters
 /// shared by several TUs (e.g. `deadline.expired`, tripped by both the
 /// pipeline's phase gate and the interpreter's poll) use `named()`,
 /// which returns the existing counter of that name or creates one.

@@ -8,7 +8,10 @@
 
 #include "support/Metrics.h"
 
+#include <algorithm>
+#include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <ostream>
 
 using namespace selspec;
@@ -37,6 +40,15 @@ TraceEmitter::sinceEpoch(std::chrono::steady_clock::time_point T) const {
 void TraceEmitter::record(const char *Name, uint64_t StartNanos,
                           uint64_t DurNanos) {
   std::lock_guard<std::mutex> Lock(M);
+  auto It = std::find_if(Phases.begin(), Phases.end(), [&](const Phase &Ph) {
+    return std::strcmp(Ph.Name, Name) == 0;
+  });
+  if (It == Phases.end())
+    Phases.push_back({Name, DurNanos, 1});
+  else {
+    It->Nanos += DurNanos;
+    ++It->Count;
+  }
   if (Spans.size() >= MaxSpans) {
     ++Dropped;
     CtrSpansDropped.add();
@@ -56,10 +68,36 @@ uint64_t TraceEmitter::numDropped() const {
   return Dropped;
 }
 
+std::vector<TraceEmitter::Phase> TraceEmitter::phases() const {
+  std::lock_guard<std::mutex> Lock(M);
+  return Phases;
+}
+
 void TraceEmitter::reset() {
   std::lock_guard<std::mutex> Lock(M);
+  Phases.clear();
   Spans.clear();
   Dropped = 0;
+}
+
+void TraceEmitter::printPhases(std::ostream &OS) const {
+  std::vector<Phase> Table = phases();
+  OS << "-- phase times\n";
+  if (Table.empty()) {
+    OS << "   (no phases recorded)\n";
+    return;
+  }
+  size_t Width = 0;
+  for (const Phase &Ph : Table)
+    Width = std::max(Width, std::strlen(Ph.Name));
+  for (const Phase &Ph : Table) {
+    OS << "   " << std::left << std::setw(static_cast<int>(Width) + 2)
+       << Ph.Name << std::right << std::fixed << std::setprecision(3)
+       << std::setw(12) << static_cast<double>(Ph.Nanos) / 1e6 << " ms";
+    if (Ph.Count > 1)
+      OS << "  (" << Ph.Count << " scopes)";
+    OS << '\n';
+  }
 }
 
 void TraceEmitter::print(std::ostream &OS) const {

@@ -348,50 +348,3 @@ TEST(DispatchTable, WholeProgramSetAgreesOnBenchmark) {
   }
   EXPECT_LT(Cells, Uncompressed);
 }
-
-//===----------------------------------------------------------------------===//
-// Dispatcher PIC behavior
-//===----------------------------------------------------------------------===//
-
-TEST(Dispatcher, PicCachesAndGoesMegamorphic) {
-  std::string Src = "class Shape;\n";
-  for (int I = 0; I != 12; ++I)
-    Src += "class S" + std::to_string(I) + " isa Shape;\n";
-  Src += "method poke(x@Shape) { 0; }\n";
-  for (int I = 0; I != 12; ++I)
-    Src += "method poke(x@S" + std::to_string(I) + ") { " +
-           std::to_string(I + 1) + "; }\n";
-  Src += "method main(n@Int) { n; }\n";
-  std::unique_ptr<Program> P = buildProgram({Src});
-  ASSERT_TRUE(P);
-
-  Dispatcher D(*P, /*PicCapacity=*/4);
-  GenericId G = P->lookupGeneric(P->Syms.find("poke"), 1);
-  CallSiteId Site(0);
-
-  auto ClassOf = [&](int I) {
-    return P->Classes.lookup(P->Syms.find("S" + std::to_string(I)));
-  };
-
-  // Warm four classes: all cached, repeats hit the PIC.
-  for (int I = 0; I != 4; ++I)
-    ASSERT_TRUE(D.lookup(G, {ClassOf(I)}, Site).isValid());
-  EXPECT_EQ(D.picSize(Site), 4u);
-  uint64_t HitsBefore = D.stats().PicHits;
-  for (int I = 0; I != 4; ++I)
-    D.lookup(G, {ClassOf(I)}, Site);
-  EXPECT_EQ(D.stats().PicHits, HitsBefore + 4);
-
-  // A fifth class overflows the capacity: megamorphic, cache dropped.
-  D.lookup(G, {ClassOf(5)}, Site);
-  EXPECT_EQ(D.stats().MegamorphicSites, 1u);
-  EXPECT_EQ(D.picSize(Site), 0u);
-
-  // Lookups stay correct afterwards (global memo serves them).
-  for (int I = 0; I != 12; ++I) {
-    MethodId M = D.lookup(G, {ClassOf(I)}, Site);
-    ASSERT_TRUE(M.isValid());
-    EXPECT_EQ(P->methodLabel(M), "poke(S" + std::to_string(I) + ")");
-  }
-  EXPECT_GT(D.stats().MemoHits, 0u);
-}

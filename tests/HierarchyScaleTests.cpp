@@ -939,6 +939,8 @@ TEST(DispatchTableVersions, PositionWithMoreGroupsThanUint16FallsBack) {
 /// CompiledProgram of the same Program.  The cells carry no versions of
 /// the running program then, so a miss selects the version itself, and
 /// the run must equal the snapshot path's, whose cells do carry them.
+/// The AST tier, which reads only the cells' methods and always selects
+/// the version itself, must equal it too over all three kinds of tables.
 TEST(DispatchTableVersions, ForeignTablesRunLikeTheSnapshot) {
   const struct {
     const char *Name;
@@ -967,22 +969,38 @@ TEST(DispatchTableVersions, ForeignTablesRunLikeTheSnapshot) {
       std::unique_ptr<CompiledProgram> Other =
           W->compileOnly(C == Config::Cust ? Config::Selective : Config::Cust);
       ASSERT_TRUE(Other) << Ctx;
-      DispatchTables MethodOnly(Snap->program());
-      DispatchTables ForOther(*Other);
-      for (const DispatchTables *Tables : {&MethodOnly, &ForOther}) {
-        const std::string Label =
-            Ctx + (Tables == &MethodOnly ? " method-only" : " other-CP");
-        std::ostringstream Output;
-        RunOptions RO;
-        RO.Output = &Output;
-        RO.Tables = Tables;
-        BytecodeInterpreter I(Snap->compiled(), *Snap->bytecode(), RO);
-        ASSERT_TRUE(I.callMain(Case.Input)) << Label << ": "
-                                            << I.errorMessage();
-        EXPECT_EQ(Output.str(), Reference.R.Output) << Label;
-        expectSameStats(I.stats(), Reference.R.Run, Label);
-        EXPECT_GT(I.icMisses(), 0u) << Label;
-        EXPECT_EQ(I.icMisdispatches(), 0u) << Label;
+      const DispatchTables MethodOnly(Snap->program());
+      const DispatchTables ForOther(*Other);
+      for (const DispatchTables *Tables :
+           {&Snap->tables(), &MethodOnly, &ForOther}) {
+        const std::string Kind = Tables == &MethodOnly ? " method-only"
+                                 : Tables == &ForOther ? " other-CP"
+                                                       : " own";
+        for (ExecTier Tier : {ExecTier::Bytecode, ExecTier::Ast}) {
+          // The bytecode run over the snapshot's own tables is Reference.
+          if (Tier == ExecTier::Bytecode && Tables == &Snap->tables())
+            continue;
+          const std::string Label = Ctx + Kind + " " + tierName(Tier);
+          std::ostringstream Output;
+          RunOptions RO;
+          RO.Output = &Output;
+          RO.Tables = Tables;
+          if (Tier == ExecTier::Bytecode) {
+            BytecodeInterpreter I(Snap->compiled(), *Snap->bytecode(), RO);
+            ASSERT_TRUE(I.callMain(Case.Input)) << Label << ": "
+                                                << I.errorMessage();
+            expectSameStats(I.stats(), Reference.R.Run, Label);
+            EXPECT_GT(I.icMisses(), 0u) << Label;
+            EXPECT_EQ(I.icMisdispatches(), 0u) << Label;
+          } else {
+            Interpreter I(Snap->compiled(), RO);
+            ASSERT_TRUE(I.callMain(Case.Input)) << Label << ": "
+                                                << I.errorMessage();
+            expectSameStats(I.stats(), Reference.R.Run, Label);
+            EXPECT_GT(I.dispatcher().stats().Lookups, 0u) << Label;
+          }
+          EXPECT_EQ(Output.str(), Reference.R.Output) << Label;
+        }
       }
     }
   }

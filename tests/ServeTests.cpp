@@ -12,14 +12,12 @@
 //   - per-job metrics deltas sum exactly to the process-wide registry
 //     totals;
 //   - deadlines and shutdown cancel jobs cooperatively;
-//   - SnapshotCache builds each key once and never caches failures;
-//   - Dispatcher::clearCaches() and resetStats() are independent.
+//   - SnapshotCache builds each key once and never caches failures.
 //
 //===----------------------------------------------------------------------===//
 
 #include "driver/Serve.h"
 #include "driver/Snapshot.h"
-#include "runtime/Dispatcher.h"
 #include "support/Metrics.h"
 
 #include "TestUtil.h"
@@ -564,52 +562,4 @@ TEST(SnapshotCacheTest, FailedBuildsAreNotCached) {
       GErr);
   ASSERT_TRUE(Snap) << GErr;
   EXPECT_EQ(Cache.size(), 1u);
-}
-
-// Satellite: clearCaches() drops the adaptive dispatch state (PICs, memo)
-// without touching the counters; resetStats() zeroes the counters without
-// touching the caches.
-TEST(DispatcherState, ClearCachesAndResetStatsAreIndependent) {
-  // The receiver's class is laundered through pick() so Base's
-  // intraprocedural analysis cannot bind area() statically — the send
-  // stays a real dynamic dispatch that exercises the PIC/memo caches.
-  std::unique_ptr<Program> P = buildProgram({R"(
-    class Shape; class Circle isa Shape; class Square isa Shape;
-    method area(s@Circle) { 3; }
-    method area(s@Square) { 4; }
-    method pick(n@Int) {
-      if (n % 2 == 0) { new Circle; } else { new Square; }
-    }
-    method main(n@Int) {
-      let i := 0; let acc := 0;
-      while (i < n) { acc := acc + area(pick(i)); i := i + 1; }
-      acc;
-    })"});
-  ASSERT_TRUE(P);
-  std::unique_ptr<CompiledProgram> CP = compileProgram(*P, Config::Base);
-  ASSERT_TRUE(CP);
-
-  Interpreter I(*CP);
-  ASSERT_TRUE(I.callMain(50)) << I.errorMessage();
-  Dispatcher &D = I.dispatcher();
-
-  const uint64_t Lookups = D.stats().Lookups;
-  ASSERT_GT(Lookups, 0u);
-  ASSERT_GT(D.numPicSites(), 0u);
-
-  // Dropping the caches preserves the counters.
-  D.clearCaches();
-  EXPECT_EQ(D.numPicSites(), 0u);
-  EXPECT_EQ(D.stats().Lookups, Lookups);
-
-  // Re-run: the caches repopulate and the counters keep accumulating.
-  ASSERT_TRUE(I.callMain(50)) << I.errorMessage();
-  EXPECT_GT(D.numPicSites(), 0u);
-  EXPECT_GT(D.stats().Lookups, Lookups);
-
-  // Zeroing the counters preserves the caches.
-  const size_t Pics = D.numPicSites();
-  D.resetStats();
-  EXPECT_EQ(D.stats().Lookups, 0u);
-  EXPECT_EQ(D.numPicSites(), Pics);
 }

@@ -72,7 +72,6 @@
 #include "support/FailPoint.h"
 #include "support/MemoryBudget.h"
 #include "support/Metrics.h"
-#include "support/PhaseTimer.h"
 #include "support/TraceEmitter.h"
 
 #include <algorithm>
@@ -357,7 +356,6 @@ int cmdCheck(const CliOptions &O) {
 }
 
 int cmdRun(const CliOptions &O) {
-  PhaseTimer::global().setEnabled(O.TimeReport);
   std::unique_ptr<Workbench> W = load(O);
   std::string Err;
 
@@ -429,7 +427,7 @@ int cmdRun(const CliOptions &O) {
   if (O.Stats)
     printStats(*R);
   if (O.TimeReport) {
-    PhaseTimer::global().print(std::cout);
+    TraceEmitter::global().printPhases(std::cout);
     printNodeMix(R->Run);
   }
   return 0;
@@ -500,7 +498,6 @@ int cmdPlan(const CliOptions &O) {
 }
 
 int cmdReport(const CliOptions &O) {
-  PhaseTimer::global().setEnabled(O.TimeReport);
   std::unique_ptr<Workbench> W = load(O);
   std::string Err;
   if (!W->collectProfile(O.ProfileInput, Err)) {
@@ -530,7 +527,7 @@ int cmdReport(const CliOptions &O) {
   }
   T.print(std::cout);
   if (O.TimeReport)
-    PhaseTimer::global().print(std::cout);
+    TraceEmitter::global().printPhases(std::cout);
   return 0;
 }
 
@@ -605,7 +602,7 @@ int main(int Argc, char **Argv) {
     GlobalCancel.setDeadline(Deadline::afterMillis(O.DeadlineMs));
     ActiveCancel = &GlobalCancel;
   }
-  if (!O.TraceOutPath.empty())
+  if (!O.TraceOutPath.empty() || O.TimeReport)
     TraceEmitter::global().setEnabled(true);
   return writeObservabilitySinks(O, runCommand(O));
 }

@@ -23,6 +23,8 @@
 
 #include "BenchCommon.h"
 
+#include "interp/Interpreter.h"
+
 #include <iostream>
 
 using namespace selspec;

@@ -19,6 +19,7 @@
 
 #include "bytecode/BytecodeCompiler.h"
 #include "bytecode/BytecodeInterpreter.h"
+#include "interp/Interpreter.h"
 #include "runtime/DispatchTable.h"
 
 #include <benchmark/benchmark.h>

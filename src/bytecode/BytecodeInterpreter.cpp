@@ -295,30 +295,20 @@ Value BytecodeInterpreter::callPred(const BcSite &Site, Value *Args, size_t N,
 Value BytecodeInterpreter::callClosureValue(Value Callee, Value *Args,
                                             size_t N, SourceLoc Loc,
                                             Control &C) {
-  if (!Callee.isObject() ||
-      Callee.asObject()->payload() != Obj::Payload::Closure)
-    return fail(C, TrapKind::TypeError, Loc, "called value is not a closure");
-  Obj *Closure = Callee.asObject();
-  const ClosureLitExpr *Lit = Closure->Lit;
-  if (Lit->Params.size() != N)
-    return fail(C, TrapKind::ArityMismatch, Loc,
-                "closure called with wrong number of arguments");
-  if (!callAllowed(Loc, C))
+  Obj *Closure = enterClosureCall(Callee, N, Loc, C);
+  if (!Closure)
     return Value::nil();
 
   // Closures made by this tier carry their compiled body; ones handed in
   // from outside (embedder values) fall back to the module map.
   BcFunction *Fn = Closure->BcFn;
   if (!Fn) {
-    auto It = Mod.ByClosure.find(Lit);
+    auto It = Mod.ByClosure.find(Closure->Lit);
     if (It == Mod.ByClosure.end())
       return fail(C, TrapKind::InternalError, Loc,
                   "internal: closure body was not compiled to bytecode");
     Fn = It->second;
   }
-
-  ++Stats.ClosureCalls;
-  Stats.Cycles += Costs.ClosureCallCost;
   return activate(Fn->Layout, Args, N, &Closure->Captured,
                   Closure->HomeActivation, MethodId(), [&](Frame &Inner) {
                     return execute(*Fn, Inner, /*Activation=*/0, C);

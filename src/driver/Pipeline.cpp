@@ -6,15 +6,13 @@
 
 #include "driver/Pipeline.h"
 
-#include "bytecode/BytecodeCompiler.h"
-#include "bytecode/BytecodeInterpreter.h"
 #include "driver/Snapshot.h"
 #include "profile/ProfileDb.h"
 #include "support/FailPoint.h"
 #include "support/Metrics.h"
 #include "support/TraceEmitter.h"
 
-#include <chrono>
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -151,62 +149,40 @@ bool Workbench::loadProfileDb(const std::string &Path, const std::string &Key,
 bool Workbench::collectProfile(int64_t Input, std::string &ErrorOut) {
   // Profiles are gathered from the Base-compiled ("instrumented")
   // executable, with arcs recorded at statically-bound sites too.
-  std::unique_ptr<CompiledProgram> CP = compileOnly(Config::Base);
-  if (!CP) {
+  std::shared_ptr<const CompiledSnapshot> Snap =
+      buildSnapshot(Config::Base, ErrorOut);
+  if (!Snap) {
     ErrorOut = LastTrap.Kind != TrapKind::None ? LastTrap.Message
                                                : Diags.toString();
     return false;
   }
   if (!phaseGate("pipeline.profile-run", "profile run", ErrorOut))
     return false;
-  RunOptions Opts;
-  Opts.Profile = &Profile;
-  Opts.Limits = Limits;
-  Opts.Cancel = Cancel;
-
-  // Either tier is a RuntimeCore, and both record identical profiles
-  // (arcs are gathered at the same sites).
-  auto RunProfile = [&](RuntimeCore &I) {
-    TraceEmitter::Scope Timing("profile");
-    if (!I.callMain(Input)) {
-      LastTrap = I.trap();
-      ErrorOut = "profile run failed: " + I.errorMessage();
-      return false;
-    }
-    LastTrap.reset();
-    return true;
-  };
-
-  if (Tier == ExecTier::Bytecode) {
-    BcModule Mod;
-    {
-      TraceEmitter::Scope Timing("bytecode-compile");
-      Mod = compileToBytecode(*CP);
-    }
-    if (Mod.Ok) {
-      BytecodeInterpreter I(*CP, Mod, Opts);
-      return RunProfile(I);
-    }
-    Diags.warning(SourceLoc(), "bytecode tier unavailable (" + Mod.Error +
-                                   "); profiling on the AST tier");
+  CompiledSnapshot::JobOptions JO;
+  JO.Limits = Limits;
+  JO.Cancel = Cancel;
+  JO.CaptureOutput = false;
+  JO.CollectArcs = true;
+  TraceEmitter::Scope Timing("profile");
+  CompiledSnapshot::JobResult J = Snap->run(Input, JO);
+  // A run stopped by a trap keeps the arcs it recorded before the trap.
+  Profile.merge(J.Arcs);
+  if (!J.Ok) {
+    LastTrap = J.Trap;
+    ErrorOut = "profile run failed: " + J.Error;
+    return false;
   }
-  Interpreter I(*CP, Opts);
-  return RunProfile(I);
+  LastTrap.reset();
+  return true;
 }
 
 std::unique_ptr<CompiledProgram>
 Workbench::compileOnly(Config C, const SelectiveOptions &Sel,
                        const OptimizerOptions &OptOpts) {
   std::string GateError;
-  if (!phaseGate("pipeline.plan", "planning", GateError))
-    return nullptr;
-  SpecializationPlan Plan =
-      makePlan(C, *P, *AC, *PT, Profile.empty() ? nullptr : &Profile, Sel,
-               &Diags);
-  if (!phaseGate("pipeline.optimize", "optimization", GateError))
-    return nullptr;
-  Optimizer Opt(*P, *AC, OptOpts, Profile.empty() ? nullptr : &Profile);
-  return Opt.compile(Plan);
+  std::shared_ptr<CompiledSnapshot> Snap =
+      compile(C, nullptr, Sel, OptOpts, /*Lower=*/false, GateError);
+  return Snap ? std::move(Snap->CP) : nullptr;
 }
 
 std::optional<ConfigResult>
@@ -214,13 +190,14 @@ Workbench::runConfig(Config C, int64_t Input, std::string &ErrorOut,
                      const SelectiveOptions &Sel,
                      const OptimizerOptions &OptOpts,
                      const CostModel &Costs) {
-  // The single-shot path is a degenerate serve: build the immutable
-  // snapshot, run one job against it.
   std::shared_ptr<const CompiledSnapshot> Snap =
       buildSnapshot(C, ErrorOut, Sel, OptOpts);
-  if (!Snap)
-    return std::nullopt;
+  return Snap ? runSnapshot(*Snap, Input, ErrorOut, Costs) : std::nullopt;
+}
 
+std::optional<ConfigResult>
+Workbench::runSnapshot(const CompiledSnapshot &Snap, int64_t Input,
+                       std::string &ErrorOut, const CostModel &Costs) {
   if (!phaseGate("pipeline.measured-run", "measured run", ErrorOut))
     return std::nullopt;
 
@@ -228,12 +205,14 @@ Workbench::runConfig(Config C, int64_t Input, std::string &ErrorOut,
   JO.Limits = Limits;
   JO.Cancel = Cancel;
   JO.Costs = Costs;
-  CompiledSnapshot::JobResult J = Snap->run(Input, JO);
+  TraceEmitter::Scope Timing("run");
+  CompiledSnapshot::JobResult J = Snap.run(Input, JO);
   if (!J.Ok) {
     LastTrap = J.Trap;
-    ErrorOut = std::string(configName(C)) + " run failed: " + J.Error;
+    ErrorOut = std::string(configName(Snap.configuration())) +
+               " run failed: " + J.Error;
     return std::nullopt;
   }
   LastTrap.reset();
-  return J.R;
+  return std::move(J.R);
 }

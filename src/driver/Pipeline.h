@@ -21,7 +21,7 @@
 #include "analysis/ApplicableClasses.h"
 #include "analysis/PassThroughArgs.h"
 #include "driver/Tier.h"
-#include "interp/Interpreter.h"
+#include "interp/RuntimeCore.h"
 #include "opt/Optimizer.h"
 #include "profile/CallGraph.h"
 #include "specialize/Strategies.h"
@@ -79,18 +79,25 @@ public:
   fromSources(const std::vector<std::string> &Sources, std::string &ErrorOut,
               bool WithStdlib = false, const CancelToken *Cancel = nullptr);
 
-  /// Runs the Base-compiled program on `main(Input)` collecting the
-  /// weighted call graph.  May be called several times (profiles merge).
+  /// Runs a Base snapshot on `main(Input)` collecting the weighted call
+  /// graph, kept also when the run traps.  May be called several times
+  /// (profiles merge).
   bool collectProfile(int64_t Input, std::string &ErrorOut);
 
   /// Compiles under \p C and runs `main(Input)`.  Implemented as
-  /// buildSnapshot() + CompiledSnapshot::run(): the single-shot path is a
+  /// buildSnapshot() + runSnapshot(): the single-shot path is a
   /// degenerate serve of one job.
   std::optional<ConfigResult>
   runConfig(Config C, int64_t Input, std::string &ErrorOut,
             const SelectiveOptions &Sel = {},
             const OptimizerOptions &OptOpts = {},
             const CostModel &Costs = {});
+
+  /// Runs one measured job of `main(Input)` against \p Snap (the "run"
+  /// phase); a failure lands in \p ErrorOut and lastTrap().
+  std::optional<ConfigResult> runSnapshot(const CompiledSnapshot &Snap,
+                                          int64_t Input, std::string &ErrorOut,
+                                          const CostModel &Costs = {});
 
   /// Compiles under \p C into an immutable, shareable CompiledSnapshot
   /// (driver/Snapshot.h) that any number of threads can run() jobs
@@ -102,6 +109,13 @@ public:
   std::shared_ptr<const CompiledSnapshot>
   buildSnapshot(Config C, std::string &ErrorOut,
                 const SelectiveOptions &Sel = {},
+                const OptimizerOptions &OptOpts = {},
+                std::shared_ptr<Workbench> Keep = nullptr);
+
+  /// Same, compiling \p Directives as given (a replayed directives file,
+  /// Section 4) instead of planning a configuration.
+  std::shared_ptr<const CompiledSnapshot>
+  buildSnapshot(const SpecializationPlan &Directives, std::string &ErrorOut,
                 const OptimizerOptions &OptOpts = {},
                 std::shared_ptr<Workbench> Keep = nullptr);
 
@@ -127,8 +141,8 @@ public:
 
   /// Execution tier for profile and measured runs.  Defaults to
   /// defaultTier() (bytecode, unless SELSPEC_TIER overrides).  When the
-  /// bytecode compiler cannot lower the program, runs fall back to the
-  /// AST tier with a warning in diagnostics().
+  /// bytecode compiler cannot lower the program, buildSnapshot falls back
+  /// to the AST tier with a warning in diagnostics().
   void setTier(ExecTier T) { Tier = T; }
   ExecTier tier() const { return Tier; }
 
@@ -168,6 +182,14 @@ private:
   /// cancel token asks to stop before \p Phase begins.
   bool phaseGate(const char *FailpointName, const char *Phase,
                  std::string &ErrorOut);
+  /// The one compile step behind compileOnly and buildSnapshot: plans \p C
+  /// unless \p Directives are given, optimizes, and with \p Lower picks
+  /// the tier.  Null when a phase gate stops it.
+  std::shared_ptr<CompiledSnapshot>
+  compile(Config C, const SpecializationPlan *Directives,
+          const SelectiveOptions &Sel, const OptimizerOptions &OptOpts,
+          bool Lower, std::string &ErrorOut,
+          std::shared_ptr<Workbench> Keep = nullptr);
 
   std::unique_ptr<Program> P;
   std::unique_ptr<ApplicableClassesAnalysis> AC;

@@ -8,6 +8,7 @@
 
 #include "bytecode/BytecodeCompiler.h"
 #include "bytecode/BytecodeInterpreter.h"
+#include "interp/Interpreter.h"
 #include "support/Metrics.h"
 #include "support/TraceEmitter.h"
 
@@ -41,7 +42,7 @@ CompiledSnapshot::run(int64_t Input, const JobOptions &Opts) const {
   CtrSnapJobs.add();
   JobResult J;
   J.R.Configuration = Info.Configuration;
-  J.R.Tier = Tier;
+  J.R.Tier = Info.Tier;
   J.R.CompiledRoutines = Info.CompiledRoutines;
   J.R.CodeSize = Info.CodeSize;
   J.R.Opt = Info.Opt;
@@ -61,16 +62,12 @@ CompiledSnapshot::run(int64_t Input, const JobOptions &Opts) const {
   RO.Tables = Tables.get();
 
   auto Measure = [&](RuntimeCore &I) {
-    bool Ok;
-    {
-      TraceEmitter::Scope Timing("run");
-      auto Start = std::chrono::steady_clock::now();
-      Ok = I.callMain(Input);
-      J.R.WallNanos = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - Start)
-              .count());
-    }
+    auto Start = std::chrono::steady_clock::now();
+    bool Ok = I.callMain(Input);
+    J.R.WallNanos = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - Start)
+            .count());
     // Deltas cover the run's full publication, success or trap.
     if (Opts.CollectMetricsDelta)
       collectDelta(J.MetricsDelta, I.stats(), I.dispatcher().stats());
@@ -79,14 +76,13 @@ CompiledSnapshot::run(int64_t Input, const JobOptions &Opts) const {
       J.Trap = I.trap();
       J.R.Trap = J.Trap.Kind;
       J.Error = I.errorMessage();
-      return false;
+      return;
     }
     J.R.Run = I.stats();
     J.Ok = true;
-    return true;
   };
 
-  if (Tier == ExecTier::Bytecode) {
+  if (Info.Tier == ExecTier::Bytecode) {
     BytecodeInterpreter I(*CP, Mod, RO, Opts.Costs);
     Measure(I);
     if (Opts.CollectMetricsDelta) {
@@ -113,46 +109,60 @@ Workbench::buildSnapshot(Config C, std::string &ErrorOut,
                          const SelectiveOptions &Sel,
                          const OptimizerOptions &OptOpts,
                          std::shared_ptr<Workbench> Keep) {
-  if (!phaseGate("pipeline.plan", "planning", ErrorOut))
-    return nullptr;
-  SpecializationPlan Plan =
-      makePlan(C, *P, *AC, *PT, Profile.empty() ? nullptr : &Profile, Sel,
-               &Diags);
+  return compile(C, nullptr, Sel, OptOpts, /*Lower=*/true, ErrorOut,
+                 std::move(Keep));
+}
 
+std::shared_ptr<const CompiledSnapshot>
+Workbench::buildSnapshot(const SpecializationPlan &Directives,
+                         std::string &ErrorOut,
+                         const OptimizerOptions &OptOpts,
+                         std::shared_ptr<Workbench> Keep) {
+  return compile(Directives.Configuration, &Directives, {}, OptOpts,
+                 /*Lower=*/true, ErrorOut, std::move(Keep));
+}
+
+std::shared_ptr<CompiledSnapshot>
+Workbench::compile(Config C, const SpecializationPlan *Directives,
+                   const SelectiveOptions &Sel,
+                   const OptimizerOptions &OptOpts, bool Lower,
+                   std::string &ErrorOut, std::shared_ptr<Workbench> Keep) {
   std::shared_ptr<CompiledSnapshot> Snap(new CompiledSnapshot());
-  Snap->Keeper = std::move(Keep);
-  Snap->Info.Configuration = C;
-  if (C == Config::Selective && !Profile.empty()) {
-    // Re-run the specializer just for its statistics (cheap).
-    SelectiveSpecializer Specializer(*P, *AC, *PT, Profile, Sel);
-    Specializer.run();
-    Snap->Info.Specializer = Specializer.stats();
+  const CallGraph *CG = Profile.empty() ? nullptr : &Profile;
+  SpecializationPlan Planned;
+  if (!Directives) {
+    if (!phaseGate("pipeline.plan", "planning", ErrorOut))
+      return nullptr;
+    Planned = makePlan(C, *P, *AC, *PT, CG, Sel, &Diags,
+                       &Snap->Info.Specializer);
+    Directives = &Planned;
   }
-
   if (!phaseGate("pipeline.optimize", "optimization", ErrorOut))
     return nullptr;
-  Optimizer Opt(*P, *AC, OptOpts, Profile.empty() ? nullptr : &Profile);
-  Snap->CP = Opt.compile(Plan);
+  Optimizer Opt(*P, *AC, OptOpts, CG);
+  Snap->CP = Opt.compile(*Directives);
+  Snap->Keeper = std::move(Keep);
+  Snap->Info.Configuration = C;
   Snap->Info.Opt = Opt.stats();
   Snap->Info.CompiledRoutines = Snap->CP->numCompiledRoutines();
   Snap->Info.CodeSize = Snap->CP->totalCodeSize();
+  if (!Lower)
+    return Snap;
 
   // Bake the tier in.  A program the bytecode compiler cannot lower
   // degrades the whole snapshot to the AST tier (warning in Diags);
   // RunStats are identical either way, only wall clock differs.
-  ExecTier SnapTier = Tier;
-  if (SnapTier == ExecTier::Bytecode) {
+  Snap->Info.Tier = Tier;
+  if (Tier == ExecTier::Bytecode) {
     TraceEmitter::Scope Timing("bytecode-compile");
     Snap->Mod = compileToBytecode(*Snap->CP);
     if (!Snap->Mod.Ok) {
       Diags.warning(SourceLoc(), "bytecode tier unavailable (" +
                                      Snap->Mod.Error +
                                      "); falling back to the AST tier");
-      SnapTier = ExecTier::Ast;
+      Snap->Info.Tier = ExecTier::Ast;
     }
   }
-  Snap->Tier = SnapTier;
-  Snap->Info.Tier = SnapTier;
   Snap->Tables = std::make_unique<DispatchTables>(*Snap->CP);
   return Snap;
 }

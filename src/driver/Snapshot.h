@@ -77,7 +77,7 @@ public:
     /// Fill JobResult::MetricsDelta (see below).
     bool CollectMetricsDelta = false;
     /// Record this job's weighted call-graph arcs into JobResult::Arcs
-    /// (live profiling for adaptive respecialization).  The arcs land in
+    /// (the profile run, and adaptive live profiling).  The arcs land in
     /// a job-private CallGraph on the interpreter's stack — no shared
     /// state, no atomics — and are merged by the caller afterwards, the
     /// same publish-after-run scheme the metrics deltas use.  RunStats
@@ -118,10 +118,10 @@ public:
   const CompiledProgram &compiled() const { return *CP; }
   /// Non-null iff tier() == Bytecode.
   const BcModule *bytecode() const {
-    return Tier == ExecTier::Bytecode ? &Mod : nullptr;
+    return Info.Tier == ExecTier::Bytecode ? &Mod : nullptr;
   }
   const DispatchTables &tables() const { return *Tables; }
-  ExecTier tier() const { return Tier; }
+  ExecTier tier() const { return Info.Tier; }
   Config configuration() const { return Info.Configuration; }
   const BuildInfo &buildInfo() const { return Info; }
 
@@ -134,10 +134,9 @@ private:
   /// guarantees the workbench outlives the snapshot (runConfig).
   std::shared_ptr<Workbench> Keeper;
   std::unique_ptr<CompiledProgram> CP;
-  /// Valid iff Tier == Bytecode.
+  /// Valid iff tier() == Bytecode.
   BcModule Mod;
   std::unique_ptr<DispatchTables> Tables;
-  ExecTier Tier = ExecTier::Ast;
   BuildInfo Info;
 };
 

@@ -182,21 +182,11 @@ Value Interpreter::eval(const Expr *E, Frame &F, Control &C) {
     ArgStackScope ArgsScope{ArgStack, ArgsBase};
     if (!evalArgs(Call->Args, F, C))
       return Value::nil();
-    if (!Callee.isObject() ||
-        Callee.asObject()->payload() != Obj::Payload::Closure)
-      return fail(C, TrapKind::TypeError, E->getLoc(),
-                  "called value is not a closure");
-    Obj *Closure = Callee.asObject();
-    const ClosureLitExpr *Lit = Closure->Lit;
     const size_t NumArgs = ArgStack.size() - ArgsBase;
-    if (Lit->Params.size() != NumArgs)
-      return fail(C, TrapKind::ArityMismatch, E->getLoc(),
-                  "closure called with wrong number of arguments");
-    if (!callAllowed(E->getLoc(), C))
+    Obj *Closure = enterClosureCall(Callee, NumArgs, E->getLoc(), C);
+    if (!Closure)
       return Value::nil();
-
-    ++Stats.ClosureCalls;
-    Stats.Cycles += Costs.ClosureCallCost;
+    const ClosureLitExpr *Lit = Closure->Lit;
     return activate(
         Lit->Layout, ArgStack.data() + ArgsBase, NumArgs, &Closure->Captured,
         Closure->HomeActivation, MethodId(),

@@ -201,6 +201,24 @@ protected:
     return true;
   }
 
+  /// The checks every closure call passes, in order: \p Callee is a
+  /// closure, it takes \p N arguments, callAllowed; then the call's
+  /// charges.  The closure, or null after trapping.
+  Obj *enterClosureCall(Value Callee, size_t N, SourceLoc Loc, Control &C) {
+    Obj *Closure = Callee.isObject() ? Callee.asObject() : nullptr;
+    if (!Closure || Closure->payload() != Obj::Payload::Closure)
+      fail(C, TrapKind::TypeError, Loc, "called value is not a closure");
+    else if (Closure->Lit->Params.size() != N)
+      fail(C, TrapKind::ArityMismatch, Loc,
+           "closure called with wrong number of arguments");
+    else if (callAllowed(Loc, C)) {
+      ++Stats.ClosureCalls;
+      Stats.Cycles += Costs.ClosureCallCost;
+      return Closure;
+    }
+    return nullptr;
+  }
+
   /// Runs one Mica activation, method or closure: a frame of \p Layout
   /// with \p Args bound to its parameters and \p Captured as its
   /// captures, CurrentHome set to \p Home, the call depth raised and, for

@@ -83,18 +83,13 @@ selspec::collectClosureAssignedNames(const Expr *E) {
   return Out;
 }
 
-unsigned selspec::countVarRefs(const Expr *E, Symbol Name) {
-  unsigned N = 0;
+void selspec::tallyVarRefs(const Expr *E, VarRefCounts &Counts, int Delta) {
   if (const auto *V = dyn_cast<VarRefExpr>(E))
-    if (V->Name == Name)
-      ++N;
+    Counts[V->Name.value()] += Delta;
   // Assignments also reference the variable binding.
-  if (const auto *A = dyn_cast<AssignVarExpr>(E))
-    if (A->Name == Name)
-      ++N;
-  forEachChild(E,
-               [&](const Expr *Child) { N += countVarRefs(Child, Name); });
-  return N;
+  else if (const auto *A = dyn_cast<AssignVarExpr>(E))
+    Counts[A->Name.value()] += Delta;
+  forEachChild(E, [&](const Expr *Child) { tallyVarRefs(Child, Counts, Delta); });
 }
 
 unsigned selspec::countNodes(const Expr *E) {

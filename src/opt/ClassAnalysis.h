@@ -74,8 +74,11 @@ std::unordered_set<uint32_t> collectAssignedNames(const Expr *E);
 /// Names assigned inside any ClosureLit nested in \p E.
 std::unordered_set<uint32_t> collectClosureAssignedNames(const Expr *E);
 
-/// Number of VarRef occurrences of \p Name in \p E.
-unsigned countVarRefs(const Expr *E, Symbol Name);
+/// References per variable name (Symbol value): VarRef and AssignVar nodes.
+using VarRefCounts = std::unordered_map<uint32_t, unsigned>;
+
+/// Adds \p Delta (+1 or -1) to \p Counts for every reference inside \p E.
+void tallyVarRefs(const Expr *E, VarRefCounts &Counts, int Delta = 1);
 
 /// AST node count (the code-size estimate unit).
 unsigned countNodes(const Expr *E);

@@ -208,9 +208,13 @@ void Optimizer::compileVersion(CompiledProgram &CP, uint32_t Index) {
   }
 
   analyze(Body);
-  eliminateDeadClosures(Body.get(), Body.get());
+  // One count per body; both passes subtract what they remove, so every
+  // decision sees the counts a fresh walk would give.
+  VarRefCounts Refs;
+  tallyVarRefs(Body.get(), Refs);
+  eliminateDeadClosures(Body.get(), Refs);
   if (Options.EnableDeadCodeElimination)
-    eliminateDeadCode(Body.get(), Body.get());
+    eliminateDeadCode(Body.get(), Refs);
 
   CM.CodeSize = estimateCodeSize(Body.get());
   // Slot-resolve last: inlining and the rewrites above are all done, so
@@ -673,48 +677,43 @@ bool isPureExpr(const Expr *E) {
 
 } // namespace
 
-void Optimizer::eliminateDeadCode(Expr *Root, Expr *Node) {
-  if (auto *Seq = dyn_cast<SeqExpr>(Node)) {
-    // Never drop the last element (it is the block's value).
-    for (size_t I = 0; I + 1 < Seq->Elems.size();) {
-      Expr *Elem = Seq->Elems[I].get();
-      bool Dead = false;
-      if (isPureExpr(Elem)) {
-        Dead = true; // pure statement whose value is discarded
-      } else if (auto *L = dyn_cast<LetExpr>(Elem)) {
-        Dead = isPureExpr(L->Init.get()) && countVarRefs(Root, L->Name) == 0;
-      }
+void Optimizer::eliminateDeadCode(Expr *Node, VarRefCounts &Refs) {
+  if (auto *Seq = dyn_cast<SeqExpr>(Node); Seq && !Seq->Elems.empty()) {
+    // Never drop the last element (it is the block's value).  remove_if
+    // decides the statements in order, so each sees the removals before it.
+    auto IsDead = [&](const ExprPtr &Elem) {
+      const auto *L = dyn_cast<LetExpr>(Elem.get());
+      bool Dead = L ? isPureExpr(L->Init.get()) && Refs[L->Name.value()] == 0
+                    : isPureExpr(Elem.get()); // value discarded
       if (Dead) {
-        Seq->Elems.erase(Seq->Elems.begin() +
-                         static_cast<std::ptrdiff_t>(I));
+        tallyVarRefs(Elem.get(), Refs, -1);
         ++S.DeadStatementsRemoved;
-      } else {
-        ++I;
       }
-    }
+      return Dead;
+    };
+    auto Last = std::prev(Seq->Elems.end());
+    Seq->Elems.erase(std::remove_if(Seq->Elems.begin(), Last, IsDead), Last);
   }
   forEachChild(Node, [&](const Expr *Child) {
-    eliminateDeadCode(Root, const_cast<Expr *>(Child));
+    eliminateDeadCode(const_cast<Expr *>(Child), Refs);
   });
 }
 
-void Optimizer::eliminateDeadClosures(Expr *Root, Expr *Node) {
-  if (auto *L = dyn_cast<LetExpr>(Node)) {
-    if (isa<ClosureLitExpr>(L->Init.get()) &&
-        countVarRefs(Root, L->Name) == 0) {
-      L->Init = std::make_unique<NilLitExpr>(L->Init->getLoc());
+void Optimizer::eliminateDeadClosures(Expr *Node, VarRefCounts &Refs) {
+  auto Eliminate = [&](Symbol Name, ExprPtr &Init) {
+    if (isa<ClosureLitExpr>(Init.get()) && Refs[Name.value()] == 0) {
+      tallyVarRefs(Init.get(), Refs, -1);
+      Init = std::make_unique<NilLitExpr>(Init->getLoc());
       ++S.ClosureCreationsEliminated;
     }
-  } else if (auto *In = dyn_cast<InlinedExpr>(Node)) {
-    for (auto &[Name, Init] : In->Bindings) {
-      if (isa<ClosureLitExpr>(Init.get()) && countVarRefs(Root, Name) == 0) {
-        Init = std::make_unique<NilLitExpr>(Init->getLoc());
-        ++S.ClosureCreationsEliminated;
-      }
-    }
-  }
+  };
+  if (auto *L = dyn_cast<LetExpr>(Node))
+    Eliminate(L->Name, L->Init);
+  else if (auto *In = dyn_cast<InlinedExpr>(Node))
+    for (auto &[Name, Init] : In->Bindings)
+      Eliminate(Name, Init);
   // Recurse after possible rewrites so replaced children are not visited.
   forEachChild(Node, [&](const Expr *Child) {
-    eliminateDeadClosures(Root, const_cast<Expr *>(Child));
+    eliminateDeadClosures(const_cast<Expr *>(Child), Refs);
   });
 }

@@ -108,9 +108,10 @@ private:
   ClassSet universe() const { return P.Classes.allClasses(); }
 
   /// Eliminates closure creations whose binding is never referenced.
-  void eliminateDeadClosures(Expr *Root, Expr *Node);
+  /// \p Refs counts the version body's references and is kept exact.
+  void eliminateDeadClosures(Expr *Node, VarRefCounts &Refs);
   /// Drops effect-free dead statements (Table 1's dead code elimination).
-  void eliminateDeadCode(Expr *Root, Expr *Node);
+  void eliminateDeadCode(Expr *Node, VarRefCounts &Refs);
   /// Replaces a primitive send over literals with its value; returns true
   /// when folded.
   bool tryFoldPrim(ExprPtr &E, PrimOp Op);

@@ -103,7 +103,9 @@ SpecializationPlan selspec::makePlan(Config C, const Program &P,
                                      const PassThroughAnalysis &PT,
                                      const CallGraph *CG,
                                      const SelectiveOptions &Options,
-                                     Diagnostics *Diags) {
+                                     Diagnostics *Diags,
+                                     std::optional<SelectiveSpecializer::Stats>
+                                         *SpecializerStats) {
   TraceEmitter::Scope Timing("plan");
   SpecializationPlan Plan;
   Plan.Configuration = C;
@@ -142,6 +144,8 @@ SpecializationPlan selspec::makePlan(Config C, const Program &P,
     Specializer.run();
     for (unsigned MI = 0; MI != P.numMethods(); ++MI)
       Plan.VersionsByMethod[MI] = Specializer.specializations()[MI];
+    if (SpecializerStats)
+      *SpecializerStats = Specializer.stats();
     break;
   }
   }

@@ -26,6 +26,8 @@
 #include "specialize/SpecTuple.h"
 #include "support/Diagnostics.h"
 
+#include <optional>
+
 namespace selspec {
 
 /// Builds the plan for \p C.  \p Options only affects Selective.
@@ -34,13 +36,15 @@ namespace selspec {
 /// (missing, rejected, or invalidated profile data) the plan degrades to
 /// CHA — general versions with class hierarchy analysis — and a warning is
 /// appended to \p Diags when provided.  No configuration asserts on its
-/// inputs.
+/// inputs.  A specializer run leaves its statistics in \p SpecializerStats.
 SpecializationPlan makePlan(Config C, const Program &P,
                             const ApplicableClassesAnalysis &AC,
                             const PassThroughAnalysis &PT,
                             const CallGraph *CG,
                             const SelectiveOptions &Options = {},
-                            Diagnostics *Diags = nullptr);
+                            Diagnostics *Diags = nullptr,
+                            std::optional<SelectiveSpecializer::Stats>
+                                *SpecializerStats = nullptr);
 
 } // namespace selspec
 

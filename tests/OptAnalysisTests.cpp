@@ -143,10 +143,16 @@ TEST(NameScans, CountVarRefsSeesReadsAndWrites) {
   Symbol X = PB->Syms.find("x");
   Symbol A = PB->Syms.find("a");
   Symbol B = PB->Syms.find("b");
+  VarRefCounts Refs;
+  tallyVarRefs(PB->Body, Refs);
   // x: one write (the assignment) + two reads.
-  EXPECT_EQ(countVarRefs(PB->Body, X), 3u);
-  EXPECT_EQ(countVarRefs(PB->Body, A), 2u);
-  EXPECT_EQ(countVarRefs(PB->Body, B), 0u);
+  EXPECT_EQ(Refs[X.value()], 3u);
+  EXPECT_EQ(Refs[A.value()], 2u);
+  EXPECT_EQ(Refs[B.value()], 0u);
+  // Subtracting a subtree takes back exactly its references.
+  tallyVarRefs(PB->Body, Refs, -1);
+  EXPECT_EQ(Refs[X.value()], 0u);
+  EXPECT_EQ(Refs[A.value()], 0u);
 }
 
 TEST(NameScans, CountNodesMatchesHandCount) {

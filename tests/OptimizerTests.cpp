@@ -122,6 +122,41 @@ TEST(Optimizer, ConstantFoldingAndDeadCode) {
   EXPECT_NE(I.errorMessage().find("division by zero"), std::string::npos);
 }
 
+TEST(Optimizer, DeadCodeStatsOnALongDeadLetBody) {
+  // Every x{i} is dead once the closure that alone reads it is gone; the
+  // z chain loses only its tail, because z0 and z1 were still referenced
+  // when the pass looked at them.
+  constexpr unsigned N = 4000;
+  std::string Src = "method main(n@Int) {\n";
+  for (unsigned I = 0; I != N; ++I) {
+    std::string X = "x" + std::to_string(I);
+    Src += "  let " + X + " := " + std::to_string(I) + ";\n";
+    if (I % 4 == 0)
+      Src += "  let c" + std::to_string(I) + " := fn() { " + X + "; };\n";
+  }
+  Src += "  n;\n  let z0 := n; let z1 := z0; let z2 := z1;\n"
+         "  print(n);\n}\n";
+  std::unique_ptr<Program> P = buildProgram({Src});
+  ASSERT_TRUE(P);
+  ApplicableClassesAnalysis AC(*P);
+  PassThroughAnalysis PT(*P);
+  SpecializationPlan Plan = makePlan(Config::Base, *P, AC, PT, nullptr);
+  Optimizer Opt(*P, AC);
+  std::unique_ptr<CompiledProgram> CP = Opt.compile(Plan);
+
+  EXPECT_EQ(Opt.stats().ClosureCreationsEliminated, N / 4);
+  // N x-lets, N/4 nil-initialized c-lets, the `n;` statement, z2.
+  EXPECT_EQ(Opt.stats().DeadStatementsRemoved, N + N / 4 + 2);
+  std::string Body = bodyOf(*P, *CP, "main(Int)");
+  EXPECT_EQ(Body.find("(let z2"), std::string::npos) << Body;
+  EXPECT_NE(Body.find("(let z1"), std::string::npos) << Body;
+  EXPECT_EQ(Body.find("(let x"), std::string::npos);
+
+  std::string Out;
+  runMain(*CP, 7, &Out);
+  EXPECT_EQ(Out, "7\n");
+}
+
 TEST(Optimizer, ClassPredictionWhenTypeUnknown) {
   std::unique_ptr<Program> P = buildProgram({R"(
     class Box { slot v; }

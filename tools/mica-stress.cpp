@@ -57,6 +57,7 @@
 #include "driver/Pipeline.h"
 #include "fuzz/Mutator.h"
 #include "fuzz/ProgramGen.h"
+#include "interp/Interpreter.h"
 #include "profile/ProfileDb.h"
 #include "support/FailPoint.h"
 

@@ -34,8 +34,8 @@
 ///   --db FILE           profile-database path (profile subcommand) [profile.db]
 ///   --profile-db FILE   run: load the training profile from a saved database
 ///                       instead of running the training input
-///   --directives FILE   run: execute a saved directives file instead of
-///                       planning; plan: where to write the directives
+///   --directives FILE   run: compile and run a saved directives file instead
+///                       of profiling and planning; plan: where to write it
 ///   --max-depth N       Mica recursion depth limit                [800]
 ///   --max-nodes N       executed-node budget per run              [4e9]
 ///   --max-objects N     live heap object-count limit              [16M]
@@ -63,10 +63,10 @@
 
 #include "bytecode/BytecodeCompiler.h"
 #include "bytecode/Disassembler.h"
-#include "driver/Pipeline.h"
+#include "driver/Report.h"
+#include "driver/Snapshot.h"
 #include "interp/RuntimeTrap.h"
 #include "lang/AstPrinter.h"
-#include "driver/Report.h"
 #include "profile/ProfileDb.h"
 #include "specialize/Directives.h"
 #include "support/FailPoint.h"
@@ -108,7 +108,7 @@ struct CliOptions {
 };
 
 /// Whole-invocation stop signal; armed in main() when --deadline-ms is
-/// given and threaded through every Workbench and Interpreter.
+/// given and threaded through every Workbench, and so into every run.
 CancelToken GlobalCancel;
 const CancelToken *ActiveCancel = nullptr;
 
@@ -287,23 +287,26 @@ int failureExit(const RuntimeTrap &T) {
   return T.isTrap() ? trapExitCode(T.Kind) : 1;
 }
 
-/// Compiles under the selected configuration and prints the register-
-/// bytecode listing (--dump-bytecode).  Returns the exit code.
-int dumpBytecodeListing(Workbench &W, const CliOptions &O) {
-  std::unique_ptr<CompiledProgram> CP =
-      W.compileOnly(O.Configuration, O.Sel, O.Opt);
-  flushDiags(W);
-  if (!CP) {
-    if (W.lastTrap().isTrap())
-      std::cerr << "micac: " << W.lastTrap().Message << '\n';
-    return failureExit(W.lastTrap());
+/// Renders \p Err and returns the exit code of \p W's last failure.
+int reportFailure(const Workbench &W, const std::string &Err) {
+  std::cerr << "micac: " << Err << '\n';
+  return failureExit(W.lastTrap());
+}
+
+/// Prints the --dump-bytecode listing of \p Mod, or when null (the AST
+/// tier) of \p CP lowered for the listing alone.  Returns the exit code.
+int dumpBytecodeListing(const CompiledProgram &CP, const BcModule *Mod) {
+  BcModule Lowered;
+  if (!Mod) {
+    Lowered = compileToBytecode(CP);
+    if (!Lowered.Ok) {
+      std::cerr << "micac: bytecode compilation failed: " << Lowered.Error
+                << '\n';
+      return 1;
+    }
+    Mod = &Lowered;
   }
-  BcModule Mod = compileToBytecode(*CP);
-  if (!Mod.Ok) {
-    std::cerr << "micac: bytecode compilation failed: " << Mod.Error << '\n';
-    return 1;
-  }
-  disassemble(Mod, W.program(), std::cout);
+  disassemble(*Mod, CP.program(), std::cout);
   return 0;
 }
 
@@ -359,8 +362,9 @@ int cmdRun(const CliOptions &O) {
   std::unique_ptr<Workbench> W = load(O);
   std::string Err;
 
-  // Replaying a saved directives file skips planning (Section 4's
-  // "the compiler then executes the directives").
+  // Replaying a saved directives file skips profiling and planning
+  // (Section 4's "the compiler then executes the directives").
+  SpecializationPlan Directives;
   if (!O.DirectivesPath.empty()) {
     std::ifstream IS(O.DirectivesPath);
     if (!IS) {
@@ -369,31 +373,14 @@ int cmdRun(const CliOptions &O) {
     }
     std::ostringstream Buf;
     Buf << IS.rdbuf();
-    SpecializationPlan Plan;
     if (!deserializeDirectives(Buf.str(), W->program(),
-                               W->applicableClasses(), Plan, Err)) {
+                               W->applicableClasses(), Directives, Err)) {
       std::cerr << "micac: " << Err << '\n';
       return 1;
     }
-    Optimizer Opt(W->program(), W->applicableClasses(), O.Opt);
-    std::unique_ptr<CompiledProgram> CP = Opt.compile(Plan);
-    std::ostringstream Out;
-    RunOptions RO;
-    RO.Output = &Out;
-    RO.Limits = O.Limits;
-    RO.Cancel = ActiveCancel;
-    Interpreter I(*CP, RO);
-    if (!I.callMain(O.Input)) {
-      std::cerr << "micac: " << I.errorMessage() << '\n';
-      return failureExit(I.trap());
-    }
-    std::cout << Out.str();
-    return 0;
-  }
-
-  // The training profile comes from a saved database when --profile-db is
-  // given, otherwise from an instrumented run of the training input.
-  if (!O.ProfileDbPath.empty()) {
+  } else if (!O.ProfileDbPath.empty()) {
+    // The training profile comes from a saved database when --profile-db
+    // is given, otherwise from an instrumented run of the training input.
     Diagnostics ProfileDiags;
     bool Ok = W->loadProfileDb(O.ProfileDbPath, O.Files.front(), ProfileDiags);
     std::string Text = ProfileDiags.toString();
@@ -406,23 +393,23 @@ int cmdRun(const CliOptions &O) {
     }
   } else if (O.Configuration == Config::Selective ||
              O.Opt.EnableTypeFeedback) {
-    if (!W->collectProfile(O.ProfileInput, Err)) {
-      std::cerr << "micac: " << Err << '\n';
-      return failureExit(W->lastTrap());
-    }
+    if (!W->collectProfile(O.ProfileInput, Err))
+      return reportFailure(*W, Err);
   }
-  if (O.DumpBytecode) {
-    int Rc = dumpBytecodeListing(*W, O);
-    if (Rc)
-      return Rc;
-  }
-  std::optional<ConfigResult> R =
-      W->runConfig(O.Configuration, O.Input, Err, O.Sel, O.Opt);
+  std::shared_ptr<const CompiledSnapshot> Snap =
+      O.DirectivesPath.empty()
+          ? W->buildSnapshot(O.Configuration, Err, O.Sel, O.Opt)
+          : W->buildSnapshot(Directives, Err, O.Opt);
   flushDiags(*W);
-  if (!R) {
-    std::cerr << "micac: " << Err << '\n';
-    return failureExit(W->lastTrap());
-  }
+  if (!Snap)
+    return reportFailure(*W, Err);
+  if (O.DumpBytecode)
+    if (int Rc = dumpBytecodeListing(Snap->compiled(), Snap->bytecode()))
+      return Rc;
+  std::optional<ConfigResult> R = W->runSnapshot(*Snap, O.Input, Err);
+  flushDiags(*W);
+  if (!R)
+    return reportFailure(*W, Err);
   std::cout << R->Output;
   if (O.Stats)
     printStats(*R);
@@ -438,13 +425,9 @@ int cmdDump(const CliOptions &O) {
   std::string Err;
   if (O.Configuration == Config::Selective ||
       O.Opt.EnableTypeFeedback) {
-    if (!W->collectProfile(O.ProfileInput, Err)) {
-      std::cerr << "micac: " << Err << '\n';
-      return failureExit(W->lastTrap());
-    }
+    if (!W->collectProfile(O.ProfileInput, Err))
+      return reportFailure(*W, Err);
   }
-  if (O.DumpBytecode)
-    return dumpBytecodeListing(*W, O);
   std::unique_ptr<CompiledProgram> CP =
       W->compileOnly(O.Configuration, O.Sel, O.Opt);
   flushDiags(*W);
@@ -455,6 +438,8 @@ int cmdDump(const CliOptions &O) {
       std::cerr << "micac: " << W->lastTrap().Message << '\n';
     return failureExit(W->lastTrap());
   }
+  if (O.DumpBytecode)
+    return dumpBytecodeListing(*CP, nullptr);
   const Program &P = W->program();
   for (const CompiledMethod &CM : CP->versions()) {
     if (!CM.Body)
@@ -470,10 +455,8 @@ int cmdDump(const CliOptions &O) {
 int cmdPlan(const CliOptions &O) {
   std::unique_ptr<Workbench> W = load(O);
   std::string Err;
-  if (!W->collectProfile(O.ProfileInput, Err)) {
-    std::cerr << "micac: " << Err << '\n';
-    return failureExit(W->lastTrap());
-  }
+  if (!W->collectProfile(O.ProfileInput, Err))
+    return reportFailure(*W, Err);
   Diagnostics PlanDiags;
   SpecializationPlan Plan =
       makePlan(O.Configuration, W->program(), W->applicableClasses(),
@@ -500,10 +483,8 @@ int cmdPlan(const CliOptions &O) {
 int cmdReport(const CliOptions &O) {
   std::unique_ptr<Workbench> W = load(O);
   std::string Err;
-  if (!W->collectProfile(O.ProfileInput, Err)) {
-    std::cerr << "micac: " << Err << '\n';
-    return failureExit(W->lastTrap());
-  }
+  if (!W->collectProfile(O.ProfileInput, Err))
+    return reportFailure(*W, Err);
   TextTable T({"Config", "Dispatches", "Cycles", "Speedup", "Routines",
                "Invoked"});
   uint64_t BaseCycles = 0;
@@ -512,10 +493,8 @@ int cmdReport(const CliOptions &O) {
     std::optional<ConfigResult> R =
         W->runConfig(C, O.Input, Err, O.Sel, O.Opt);
     flushDiags(*W);
-    if (!R) {
-      std::cerr << "micac: " << Err << '\n';
-      return failureExit(W->lastTrap());
-    }
+    if (!R)
+      return reportFailure(*W, Err);
     if (C == Config::Base)
       BaseCycles = R->Run.Cycles;
     T.addRow({configName(C), TextTable::count(R->Run.totalDispatches()),
@@ -534,10 +513,8 @@ int cmdReport(const CliOptions &O) {
 int cmdProfile(const CliOptions &O) {
   std::unique_ptr<Workbench> W = load(O);
   std::string Err;
-  if (!W->collectProfile(O.ProfileInput, Err)) {
-    std::cerr << "micac: " << Err << '\n';
-    return failureExit(W->lastTrap());
-  }
+  if (!W->collectProfile(O.ProfileInput, Err))
+    return reportFailure(*W, Err);
   ProfileDb Db;
   Db.forProgram(O.Files.front()).merge(W->profile());
   Diagnostics SaveDiags;

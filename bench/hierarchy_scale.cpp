@@ -15,7 +15,8 @@
 ///   - per-config, per-tier measured runs (all 5 Table 1 configurations
 ///     x AST + bytecode tiers) with wall-clock ns per dynamic dispatch,
 ///     best of SELSPEC_HIERARCHY_REPS runs taken rep by rep across the
-///     sizes;
+///     sizes, and every rep's time (`rep_wall_ns`), so a flatness check
+///     can compare the sizes within each rep;
 ///   - compressed DispatchTable cells and bytes, and direct table-lookup
 ///     ns/op;
 ///   - cone memory: the hierarchy's interval index plus materialized
@@ -81,7 +82,9 @@ uint64_t envOr(const char *Name, uint64_t Default) {
 struct ConfigRow {
   Config Configuration;
   ExecTier Tier;
+  /// Best of the reps, and each rep's time in rep order.
   uint64_t WallNanos = 0;
+  std::vector<uint64_t> RepWallNanos;
   uint64_t Dispatches = 0;
   double NsPerDispatch = 0;
 };
@@ -240,6 +243,7 @@ int main() {
         CR.Dispatches = R->Run.totalDispatches();
         if (Rep == 0 || R->WallNanos < CR.WallNanos)
           CR.WallNanos = R->WallNanos;
+        CR.RepWallNanos.push_back(R->WallNanos);
       }
 
   for (SizeRow &Row : Results) {
@@ -288,8 +292,10 @@ int main() {
       const ConfigRow &CR = Row.Rows[J];
       OS << "        {\"config\": \"" << configName(CR.Configuration)
          << "\", \"tier\": \"" << tierName(CR.Tier)
-         << "\", \"wall_ns\": " << CR.WallNanos
-         << ", \"dispatches\": " << CR.Dispatches
+         << "\", \"wall_ns\": " << CR.WallNanos << ", \"rep_wall_ns\": [";
+      for (size_t K = 0; K != CR.RepWallNanos.size(); ++K)
+        OS << (K ? ", " : "") << CR.RepWallNanos[K];
+      OS << "], \"dispatches\": " << CR.Dispatches
          << ", \"ns_per_dispatch\": " << CR.NsPerDispatch << "}"
          << (J + 1 == Row.Rows.size() ? "\n" : ",\n");
     }

@@ -196,9 +196,6 @@ struct BcSite {
   const SendExpr *S = nullptr;
   /// InlinePrim/Predicted target primitive, resolved at compile time.
   PrimOp Prim = PrimOp::None;
-  /// FeedbackGuard: whether the predicted target is a builtin, and its op.
-  bool TargetIsBuiltin = false;
-  PrimOp TargetPrim = PrimOp::None;
   /// Module-dense index of this site's per-thread inline cache
   /// (< BcModule::NumIcSlots).
   uint32_t IcSlot = 0;
@@ -286,9 +283,6 @@ struct BcFunction {
   uint32_t NumTemps = 0;
   /// First temp register (== the source layout's NumSlots).
   uint32_t FirstTemp = 0;
-  /// Methods catch boundary-0 returns of their own activation; closure
-  /// bodies never do.
-  bool IsMethod = false;
   /// Source method (methods only; for backtraces and Invoked bits).
   MethodId Source;
   const CompiledMethod *Method = nullptr;

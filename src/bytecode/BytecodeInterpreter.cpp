@@ -5,25 +5,28 @@
 //===----------------------------------------------------------------------===//
 //
 // Execution engine for BcModules.  Everything both tiers must agree on
-// (primitives, traps, allocation and call guards, rendering, the entry
-// path) is RuntimeCore's; what remains here mirrors the AST Interpreter's
-// tree walk (src/interp/Interpreter.cpp) in check order and cost charges,
-// because the differential tests require RunStats to be bit-identical
-// between the tiers.  When editing either tier's walk, update the other.
+// (the send protocol, method invocation, `new`, primitives, traps,
+// allocation and call guards, rendering, the entry path) is RuntimeCore's;
+// what remains here mirrors the AST Interpreter's tree walk
+// (src/interp/Interpreter.cpp) in check order and cost charges, because
+// the differential tests require RunStats to be bit-identical between the
+// tiers.  When editing either tier's walk, update the other.
 //
 // Two pieces of machinery are new.  The per-site inline cache: a call
-// instruction probes the BcIcEntry slots of its site's side-table entry,
-// and a miss reads the snapshot's shared compressed dispatch table
-// (DispatchTables) directly: one cell holds both the method and its
-// selected version; the AST tier's PICs and memo are not on this path.
-// A hit must return exactly what dispatch and version selection would
-// have (the program is immutable during a run), so the substitution is
-// invisible to RunStats; SELSPEC_IC_AUDIT=1 re-verifies every hit and
-// every table answer against Program::dispatch and
-// CompiledProgram::selectVersion and counts `bytecode.ic_misdispatch`.
-// And region charging: the AST walker's per-node chargeNode() is applied
-// a charge region at a time (see execute()), which reaches the same
-// RunStats and the same traps.
+// instruction's lookup hook probes the BcIcEntry slots of its site's
+// side-table entry, and a miss reads the snapshot's shared compressed
+// dispatch table (DispatchTables) directly: one cell holds both the
+// method and its selected version.  A hit must return exactly what
+// dispatch and version selection would have (the program is immutable
+// during a run), so the substitution is invisible to RunStats;
+// SELSPEC_IC_AUDIT=1 re-verifies every hit and every table answer against
+// Program::dispatch and CompiledProgram::selectVersion and counts
+// `bytecode.ic_misdispatch`.  And region charging: the AST walker's
+// per-node chargeNode() is applied a charge region at a time (see
+// execute()), which reaches the same RunStats and the same traps.
+//
+// The dispatch loop is computed goto (`&&label` tables), a GNU extension
+// that GCC and Clang provide.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +35,10 @@
 #include "support/Metrics.h"
 
 #include <cstdlib>
+
+#if !(defined(__GNUC__) || defined(__clang__))
+#error "the bytecode dispatch loop needs computed goto (GCC or Clang)"
+#endif
 
 using namespace selspec;
 
@@ -183,113 +190,16 @@ void BytecodeInterpreter::icInsert(const BcSite &Site, MethodId Target,
 }
 
 //===----------------------------------------------------------------------===//
-// Call helpers (one per send-binding kind, mirroring evalSend)
+// Calls: the send protocol's hooks and closure calls
 //===----------------------------------------------------------------------===//
 
-Value BytecodeInterpreter::callDyn(const BcSite &Site, Value *Args, size_t N,
-                                   Control &C) {
-  const SendExpr *S = Site.S;
-  gatherClasses(Args, N);
-
-  MethodId Target;
-  int Version = -1;
-  if (!icFind(Site, Target, Version) && !icMiss(Site, Target, Version))
-    return failDispatch(C, S);
-
-  recordArc(S->Site, Target);
-  ++Stats.DynamicDispatches;
-  Stats.Cycles += Costs.DynamicDispatchCost;
-  return bcInvokeMethod(Target, Version, Args, N, S->getLoc(), C);
-}
-
-Value BytecodeInterpreter::callStatic(const BcSite &Site, Value *Args, size_t N,
-                                      Control &C) {
-  const SendExpr *S = Site.S;
-  const CompiledMethod &CM = CP.version(S->Binding.TargetVersion);
-  if (Opts.ValidateBindings && !bindingHolds(S, Args, N, C))
-    return Value::nil();
-  recordArc(S->Site, CM.Source);
-  ++Stats.StaticCalls;
-  Stats.Cycles += Costs.StaticCallCost;
-  return bcInvokeVersion(CM, Args, N, S->getLoc(), C);
-}
-
-Value BytecodeInterpreter::callSelect(const BcSite &Site, Value *Args, size_t N,
-                                      Control &C) {
-  const SendExpr *S = Site.S;
-  gatherClasses(Args, N);
-  if (Opts.ValidateBindings && !bindingHolds(S, Args, N, C))
-    return Value::nil();
-  recordArc(S->Site, S->Binding.Target);
-  ++Stats.VersionSelects;
-  Stats.Cycles += Costs.VersionSelectCost;
-
-  // The IC caches the run-time version selection; the target is the
-  // statically-bound method (every entry at this site holds it).
-  MethodId Target = S->Binding.Target;
-  int Version = -1;
-  if (!icFind(Site, Target, Version)) {
-    Version = CP.selectVersion(Target, ClassScratch);
-    icInsert(Site, Target, Version);
-  }
-  return bcInvokeMethod(Target, Version, Args, N, S->getLoc(), C);
-}
-
-Value BytecodeInterpreter::callPrim(const BcSite &Site, Value *Args, size_t N,
-                                    Control &C) {
-  const SendExpr *S = Site.S;
-  if (Opts.ValidateBindings && !bindingHolds(S, Args, N, C))
-    return Value::nil();
-  recordArc(S->Site, S->Binding.Target);
-  ++Stats.InlinePrims;
-  Stats.Cycles += Costs.InlinePrimCost;
-  return invokePrim(Site.Prim, Args, S->getLoc(), C);
-}
-
-Value BytecodeInterpreter::callFeedback(const BcSite &Site, Value *Args, size_t N,
-                                        Control &C) {
-  const SendExpr *S = Site.S;
-  gatherClasses(Args, N);
-  // The modeled machine executes an inline-cache class test; here the
-  // test is the baked-in IC probe itself (the dispatch table on a miss).
-  Stats.Cycles += Costs.PredictTestCost;
-
-  MethodId Real;
-  int Version = -1;
-  if (!icFind(Site, Real, Version) && !icMiss(Site, Real, Version))
-    return failDispatch(C, S);
-
-  recordArc(S->Site, Real);
-  if (Real == S->Binding.Target) {
-    ++Stats.FeedbackHits;
-    if (Site.TargetIsBuiltin) {
-      Stats.Cycles += Costs.InlinePrimCost;
-      return invokePrim(Site.TargetPrim, Args, S->getLoc(), C);
-    }
-    Stats.Cycles += Costs.StaticCallCost;
-    return bcInvokeMethod(Real, Version, Args, N, S->getLoc(), C);
-  }
-  ++Stats.FeedbackMisses;
-  ++Stats.DynamicDispatches;
-  Stats.Cycles += Costs.DynamicDispatchCost;
-  return bcInvokeMethod(Real, Version, Args, N, S->getLoc(), C);
-}
-
-Value BytecodeInterpreter::callPred(const BcSite &Site, Value *Args, size_t N,
-                                    Control &C) {
-  const SendExpr *S = Site.S;
-  Stats.Cycles += Costs.PredictTestCost;
-  bool Hit = true;
-  for (size_t I = 0; I != N; ++I)
-    Hit &= Args[I].classOf() == S->Binding.PredictedClass;
-  if (Hit) {
-    recordArc(S->Site, S->Binding.Target);
-    ++Stats.PredictedHits;
-    Stats.Cycles += Costs.InlinePrimCost;
-    return invokePrim(Site.Prim, Args, S->getLoc(), C);
-  }
-  ++Stats.PredictedMisses;
-  return callDyn(Site, Args, N, C);
+const BcFunction *BytecodeInterpreter::bodyOf(const CompiledMethod &CM,
+                                              SourceLoc Loc, Control &C) {
+  const BcFunction *Fn = Mod.ByVersion[CM.Index];
+  if (!Fn)
+    fail(C, TrapKind::InternalError, Loc,
+         "internal: method version was not compiled to bytecode");
+  return Fn;
 }
 
 Value BytecodeInterpreter::callClosureValue(Value Callee, Value *Args,
@@ -310,46 +220,8 @@ Value BytecodeInterpreter::callClosureValue(Value Callee, Value *Args,
     Fn = It->second;
   }
   return activate(Fn->Layout, Args, N, &Closure->Captured,
-                  Closure->HomeActivation, MethodId(), [&](Frame &Inner) {
-                    return execute(*Fn, Inner, /*Activation=*/0, C);
-                  });
-}
-
-Value BytecodeInterpreter::bcInvokeMethod(MethodId M, int VersionIndex,
-                                          Value *Args, size_t N,
-                                          SourceLoc CallLoc, Control &C) {
-  if (VersionIndex < 0)
-    return fail(C, TrapKind::InternalError, CallLoc,
-                "internal: no compiled version matches arguments of " +
-                    P.methodLabel(M));
-  return bcInvokeVersion(CP.version(static_cast<uint32_t>(VersionIndex)),
-                         Args, N, CallLoc, C);
-}
-
-Value BytecodeInterpreter::bcInvokeVersion(const CompiledMethod &CM, Value *Args,
-                                           size_t N, SourceLoc CallLoc,
-                                           Control &C) {
-  const MethodInfo &M = P.method(CM.Source);
-  CP.markInvoked(CM.Index);
-
-  if (M.isBuiltin())
-    return invokePrim(M.Prim, Args, CallLoc, C);
-
-  if (!callAllowed(CallLoc, C))
-    return Value::nil();
-
-  BcFunction *Fn = Mod.ByVersion[CM.Index];
-  if (!Fn)
-    return fail(C, TrapKind::InternalError, CallLoc,
-                "internal: method version was not compiled to bytecode");
-
-  ++Stats.MethodInvocations;
-  const uint64_t Activation = NextActivation++;
-  // The augmented layout sizes the frame for locals plus temp registers;
-  // Params are the source layout's, so binding is unchanged.
-  assert(Fn->Layout.Params.size() == N && "dispatcher arity mismatch");
-  return activate(Fn->Layout, Args, N, nullptr, Activation, CM.Source,
-                  [&](Frame &F) { return execute(*Fn, F, Activation, C); });
+                  Closure->HomeActivation, MethodId(),
+                  [&](Frame &Inner) { return execute(*Fn, Inner, C); });
 }
 
 //===----------------------------------------------------------------------===//
@@ -357,7 +229,7 @@ Value BytecodeInterpreter::bcInvokeVersion(const CompiledMethod &CM, Value *Args
 //===----------------------------------------------------------------------===//
 
 Value BytecodeInterpreter::execute(const BcFunction &Fn, Frame &F,
-                                   uint64_t Activation, Control &C) {
+                                   Control &C) {
   const Insn *const Code = Fn.Code.data();
   const SourceLoc *const Locs = Fn.Locs.data();
   const BcChargeRegion *const Regions = Fn.ChargeRegions.data();
@@ -381,13 +253,8 @@ Value BytecodeInterpreter::execute(const BcFunction &Fn, Frame &F,
   const uint64_t MaxNodes = Opts.Limits.MaxNodes;
   const CancelToken *const Cancel = Opts.Cancel;
 
-#if defined(__GNUC__) || defined(__clang__)
 #define BC_UNLIKELY(X) __builtin_expect(!!(X), 0)
-#else
-#define BC_UNLIKELY(X) (X)
-#endif
 
-#if defined(__GNUC__) || defined(__clang__)
   // Computed-goto dispatch: one indirect branch per instruction with a
   // per-opcode target the predictor can learn.  Table order must match
   // the BcOp declaration exactly.
@@ -419,20 +286,6 @@ Value BytecodeInterpreter::execute(const BcFunction &Fn, Frame &F,
                 "stepping table out of sync with BcOp");
   const void *const *Dispatch = JumpTable;
 #define BC_DISPATCH() goto *Dispatch[static_cast<uint8_t>(Ip->Op)]
-#define BC_ACTION() goto *JumpTable[static_cast<uint8_t>(Ip->Op)]
-#define BC_SET_FAST() (Dispatch = JumpTable)
-#define BC_SET_STEPPING() (Dispatch = StepTable)
-#define BC_STEPPING() (Dispatch == StepTable)
-#else
-  // Portable fallback: a switch that fans out to the same function-scope
-  // labels the computed-goto build uses, behind the same mode test.
-  bool Stepping = false;
-#define BC_DISPATCH() goto DispatchTop
-#define BC_ACTION() goto ActionTop
-#define BC_SET_FAST() (Stepping = false)
-#define BC_SET_STEPPING() (Stepping = true)
-#define BC_STEPPING() Stepping
-#endif
 
   // Region entry, inlined into every instruction that enters one: one add
   // and one compare charge the region's whole summary unless it would
@@ -448,7 +301,7 @@ Value BytecodeInterpreter::execute(const BcFunction &Fn, Frame &F,
       goto EnterStepping;                                                      \
     Stats.NodesEvaluated = Nodes;                                              \
     ++Hits[Region];                                                            \
-    BC_SET_FAST();                                                             \
+    Dispatch = JumpTable;                                                      \
     BC_DISPATCH();                                                             \
   } while (0)
 
@@ -456,82 +309,12 @@ Value BytecodeInterpreter::execute(const BcFunction &Fn, Frame &F,
   // was charged whole, so the part after Ip is given back first.
 #define BC_TRAP()                                                              \
   do {                                                                         \
-    if (!BC_STEPPING())                                                        \
+    if (Dispatch == JumpTable)                                                 \
       giveBack(Fn, static_cast<uint32_t>(Ip - Code));                          \
     return Value::nil();                                                       \
   } while (0)
 
   BC_ENTER(0, Code);
-
-#if !(defined(__GNUC__) || defined(__clang__))
-DispatchTop:
-  if (Stepping)
-    goto L_Step;
-ActionTop:
-  switch (Ip->Op) {
-  case BcOp::LoadInt:
-    goto L_LoadInt;
-  case BcOp::LoadBool:
-    goto L_LoadBool;
-  case BcOp::LoadStr:
-    goto L_LoadStr;
-  case BcOp::LoadNil:
-    goto L_LoadNil;
-  case BcOp::LoadVarSlot:
-    goto L_LoadVarSlot;
-  case BcOp::LoadVarCell:
-    goto L_LoadVarCell;
-  case BcOp::LoadVarCapture:
-    goto L_LoadVarCapture;
-  case BcOp::Move:
-    goto L_Move;
-  case BcOp::LoadNilRaw:
-    goto L_LoadNilRaw;
-  case BcOp::StoreSlot:
-    goto L_StoreSlot;
-  case BcOp::StoreCell:
-    goto L_StoreCell;
-  case BcOp::StoreCapture:
-    goto L_StoreCapture;
-  case BcOp::LetCell:
-    goto L_LetCell;
-  case BcOp::Jump:
-    goto L_Jump;
-  case BcOp::CondBranch:
-    goto L_CondBranch;
-  case BcOp::StackCheck:
-    goto L_StackCheck;
-  case BcOp::CallDyn:
-    goto L_CallDyn;
-  case BcOp::CallStatic:
-    goto L_CallStatic;
-  case BcOp::CallSelect:
-    goto L_CallSelect;
-  case BcOp::CallPrim:
-    goto L_CallPrim;
-  case BcOp::CallPred:
-    goto L_CallPred;
-  case BcOp::CallFeedback:
-    goto L_CallFeedback;
-  case BcOp::CallClosure:
-    goto L_CallClosure;
-  case BcOp::MakeClosure:
-    goto L_MakeClosure;
-  case BcOp::NewObj:
-    goto L_NewObj;
-  case BcOp::InitSlot:
-    goto L_InitSlot;
-  case BcOp::GetSlot:
-    goto L_GetSlot;
-  case BcOp::SetSlot:
-    goto L_SetSlot;
-  case BcOp::RetLocal:
-    goto L_RetLocal;
-  case BcOp::RetNonLocal:
-    goto L_RetNonLocal;
-  }
-  return Value::nil(); // unreachable: the switch covers every opcode
-#endif
 
   // ---- Stepping mode (cold) ----
 
@@ -539,7 +322,7 @@ EnterStepping: {
   const BcChargeRegion &Rg = Regions[Region];
   StepCharge = Rg.FirstCharge;
   StepEnd = Rg.FirstCharge + Rg.Nodes;
-  BC_SET_STEPPING();
+  Dispatch = StepTable;
   BC_DISPATCH();
 }
 
@@ -564,7 +347,7 @@ L_Step: {
     }
     ++Stats.NodeMix[static_cast<size_t>(Ch.Kind)];
   }
-  BC_ACTION();
+  goto *JumpTable[static_cast<uint8_t>(Ip->Op)];
 }
 
   // ---- Charged leaves ----
@@ -705,7 +488,7 @@ L_StackCheck: {
 L_CallDyn: {
   const Insn &I = *Ip;
   const BcSite &Site = Fn.Sites[I.D];
-  CallVal = callDyn(Site, R + I.B, I.C, C);
+  CallVal = sendDynamic(*this, Site.S, R + I.B, I.C, C, icLookup(Site));
   Cont = Site.Cont;
   goto HandleCall;
 }
@@ -713,7 +496,7 @@ L_CallDyn: {
 L_CallStatic: {
   const Insn &I = *Ip;
   const BcSite &Site = Fn.Sites[I.D];
-  CallVal = callStatic(Site, R + I.B, I.C, C);
+  CallVal = sendStatic(*this, Site.S, R + I.B, I.C, C);
   Cont = Site.Cont;
   goto HandleCall;
 }
@@ -721,7 +504,7 @@ L_CallStatic: {
 L_CallSelect: {
   const Insn &I = *Ip;
   const BcSite &Site = Fn.Sites[I.D];
-  CallVal = callSelect(Site, R + I.B, I.C, C);
+  CallVal = sendStaticSelect(*this, Site.S, R + I.B, I.C, C, icSelect(Site));
   Cont = Site.Cont;
   goto HandleCall;
 }
@@ -729,7 +512,8 @@ L_CallSelect: {
 L_CallPrim: {
   // Primitives run no charged code, so the region goes on.
   const Insn &I = *Ip;
-  CallVal = callPrim(Fn.Sites[I.D], R + I.B, I.C, C);
+  const BcSite &Site = Fn.Sites[I.D];
+  CallVal = sendInlinePrim(Site.S, Site.Prim, R + I.B, I.C, C);
   if (BC_UNLIKELY(C.active()))
     BC_TRAP();
   R[I.A] = CallVal;
@@ -740,7 +524,8 @@ L_CallPrim: {
 L_CallPred: {
   const Insn &I = *Ip;
   const BcSite &Site = Fn.Sites[I.D];
-  CallVal = callPred(Site, R + I.B, I.C, C);
+  CallVal = sendPredicted(*this, Site.S, Site.Prim, R + I.B, I.C, C,
+                          icLookup(Site));
   Cont = Site.Cont;
   goto HandleCall;
 }
@@ -748,7 +533,7 @@ L_CallPred: {
 L_CallFeedback: {
   const Insn &I = *Ip;
   const BcSite &Site = Fn.Sites[I.D];
-  CallVal = callFeedback(Site, R + I.B, I.C, C);
+  CallVal = sendFeedbackGuard(*this, Site.S, R + I.B, I.C, C, icLookup(Site));
   Cont = Site.Cont;
   goto HandleCall;
 }
@@ -786,15 +571,10 @@ HandleCall: {
           BC_ENTER(Best->Landing, Code + Best->End);
         }
       }
-      // Methods catch boundary-0 returns of their own activation (the
-      // AST walker's invokeVersion epilogue).
-      if (Fn.IsMethod && C.Boundary == 0 && C.Activation == Activation) {
-        Value Ret = C.Val;
-        C = Control();
-        return Ret;
-      }
     }
-    return Value::nil(); // propagate Return/Error to the caller
+    // Propagate Return/Error to the caller; a boundary-0 return to this
+    // method's activation is caught by RuntimeCore::invokeVersion.
+    return Value::nil();
   }
   R[Ip->A] = CallVal;
   BC_ENTER(Cont, Ip + 1);
@@ -817,12 +597,10 @@ L_MakeClosure: {
 L_NewObj: {
   const Insn &I = *Ip;
   const BcNewSite &NS = Fn.NewSites[I.D];
-  if (!allocationFits(membudget::instanceBytes(NS.LayoutSize),
-                      Locs[Ip - Code], C))
+  Obj *O = newInstance(NS.N->Class, NS.LayoutSize, Locs[Ip - Code], C);
+  if (!O)
     BC_TRAP();
-  ++Stats.Allocations;
-  Stats.Cycles += Costs.AllocCost + NS.LayoutSize;
-  R[I.A] = Value::ofObj(TheHeap.newInstance(NS.N->Class, NS.LayoutSize));
+  R[I.A] = Value::ofObj(O);
   ++Ip;
   BC_DISPATCH();
 }
@@ -913,10 +691,6 @@ L_RetNonLocal: {
 
 #undef BC_TRAP
 #undef BC_ENTER
-#undef BC_STEPPING
-#undef BC_SET_STEPPING
-#undef BC_SET_FAST
-#undef BC_ACTION
 #undef BC_DISPATCH
 #undef BC_UNLIKELY
 }
@@ -924,8 +698,8 @@ L_RetNonLocal: {
 Value BytecodeInterpreter::enter(MethodId Target, int Version,
                                  std::vector<Value> &Args, Control &C) {
   ChargeLimit = nextChargeLimit(Stats.NodesEvaluated);
-  Value Result =
-      bcInvokeMethod(Target, Version, Args.data(), Args.size(), SourceLoc(), C);
+  Value Result = invokeMethod(*this, Target, Version, Args.data(),
+                              Args.size(), SourceLoc(), C);
   foldRegionCounts();
   return Result;
 }

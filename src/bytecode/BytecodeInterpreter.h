@@ -6,14 +6,17 @@
 ///
 /// \file
 /// The bytecode tier: executes a BcModule, the flat register-bytecode
-/// lowering of a CompiledProgram.  Primitives, traps, value rendering,
+/// lowering of a CompiledProgram.  The send protocol of every binding
+/// kind, method invocation, `new`, primitives, traps, value rendering,
 /// resource guards, the callGeneric entry path and `interp.*` stats
 /// publication come from RuntimeCore, shared with the AST Interpreter, so
 /// the driver selects a tier without caring which one runs.  This class
-/// adds only how bytecode runs: the dispatch loop (computed goto under
-/// GCC/Clang, a switch elsewhere), the call-instruction family with its
-/// per-thread inline caches, whose misses read the shared compressed
-/// dispatch tables (DispatchTables) directly, and charge regions.  When the tables were
+/// adds only how bytecode runs: the computed-goto dispatch loop (GCC and
+/// Clang only), whose call instructions each hand their arguments, a
+/// register window, to the core's entry point for their binding kind;
+/// the send hooks, whose lookups go through per-thread inline caches;
+/// and charge regions.  An inline-cache miss reads the shared compressed
+/// dispatch tables (DispatchTables) directly.  When the tables were
 /// built for this interpreter's CompiledProgram (a snapshot's, or the
 /// core's own), a miss is one cell read that yields the method and its
 /// selected version; over tables built for no CompiledProgram or another
@@ -64,25 +67,42 @@ public:
   uint64_t insnsDispatched() const { return InsnsDispatched; }
 
 private:
+  friend class RuntimeCore; // the send protocol runs bodies via bodyOf/runBody
+
   Value enter(MethodId Target, int Version, std::vector<Value> &Args,
               Control &C) override;
 
-  Value execute(const BcFunction &Fn, Frame &F, uint64_t Activation,
-                Control &C);
+  Value execute(const BcFunction &Fn, Frame &F, Control &C);
 
-  Value callDyn(const BcSite &Site, Value *Args, size_t N, Control &C);
-  Value callStatic(const BcSite &Site, Value *Args, size_t N, Control &C);
-  Value callSelect(const BcSite &Site, Value *Args, size_t N, Control &C);
-  Value callPrim(const BcSite &Site, Value *Args, size_t N, Control &C);
-  Value callPred(const BcSite &Site, Value *Args, size_t N, Control &C);
-  Value callFeedback(const BcSite &Site, Value *Args, size_t N, Control &C);
   Value callClosureValue(Value Callee, Value *Args, size_t N, SourceLoc Loc,
                          Control &C);
 
-  Value bcInvokeMethod(MethodId M, int VersionIndex, Value *Args, size_t N,
-                       SourceLoc CallLoc, Control &C);
-  Value bcInvokeVersion(const CompiledMethod &CM, Value *Args, size_t N,
-                        SourceLoc CallLoc, Control &C);
+  /// The send protocol's hooks.  A dynamic target (Dynamic, a Predicted
+  /// miss, FeedbackGuard) comes from the site's inline cache, then the
+  /// dispatch table; StaticSelect's version from the inline cache, then
+  /// selectVersion; a version's body is its compiled BcFunction (a
+  /// version without one traps).
+  auto icLookup(const BcSite &Site) {
+    return [this, &Site](MethodId &Target, int &Version) {
+      return icFind(Site, Target, Version) || icMiss(Site, Target, Version);
+    };
+  }
+  auto icSelect(const BcSite &Site) {
+    // Every entry at a StaticSelect site holds the bound method.
+    return [this, &Site](MethodId Target) {
+      int Version = -1;
+      if (!icFind(Site, Target, Version)) {
+        Version = CP.selectVersion(Target, ClassScratch);
+        icInsert(Site, Target, Version);
+      }
+      return Version;
+    };
+  }
+  const BcFunction *bodyOf(const CompiledMethod &CM, SourceLoc Loc,
+                           Control &C);
+  Value runBody(const BcFunction &Fn, Frame &F, Control &C) {
+    return execute(Fn, F, C);
+  }
 
   /// Inline-cache probe/fill over ClassScratch, against this
   /// interpreter's side-table entry for the site (IcTable[Site.IcSlot]).
@@ -90,7 +110,7 @@ private:
   /// hits are re-verified against full dispatch
   /// (`bytecode.ic_misdispatch`).
   bool icFind(const BcSite &Site, MethodId &Target, int &Version);
-  /// The miss path of callDyn and callFeedback: reads the (method,
+  /// The miss path of icLookup: reads the (method,
   /// version) cell of the site's generic's dispatch table (selecting the
   /// version itself unless CellsHoldVersions), fills the IC, and under
   /// SELSPEC_IC_AUDIT=1 re-derives both from Program::dispatch and

@@ -227,8 +227,9 @@ void printSite(const BcSite &Site, size_t Idx, const Program &P,
      << " binding=" << bindKindName(S->Binding.Kind);
   if (Site.Prim != PrimOp::None)
     OS << " prim=" << primOpName(Site.Prim);
-  if (S->Binding.Kind == SendBindKind::FeedbackGuard && Site.TargetIsBuiltin)
-    OS << " target-prim=" << primOpName(Site.TargetPrim);
+  if (S->Binding.Kind == SendBindKind::FeedbackGuard &&
+      P.method(S->Binding.Target).isBuiltin())
+    OS << " target-prim=" << primOpName(P.method(S->Binding.Target).Prim);
   // IC contents are per-thread interpreter state now, not module state;
   // the module only records which side-table slot the site owns.
   OS << " ic-slot=" << Site.IcSlot << '\n';

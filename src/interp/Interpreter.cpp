@@ -200,14 +200,12 @@ Value Interpreter::eval(const Expr *E, Frame &F, Control &C) {
 
   case Expr::Kind::New: {
     const auto *N = cast<NewExpr>(E);
-    const ClassInfo &Info = P.Classes.info(N->Class);
-    if (!allocationFits(membudget::instanceBytes(Info.Layout.size()),
-                        E->getLoc(), C))
+    Obj *O = newInstance(
+        N->Class,
+        static_cast<unsigned>(P.Classes.info(N->Class).Layout.size()),
+        E->getLoc(), C);
+    if (!O)
       return Value::nil();
-    ++Stats.Allocations;
-    Stats.Cycles += Costs.AllocCost + Info.Layout.size();
-    Obj *O = TheHeap.newInstance(
-        N->Class, static_cast<unsigned>(Info.Layout.size()));
     for (const auto &[SlotName, Init] : N->Inits) {
       Value V = eval(Init.get(), F, C);
       if (C.active())
@@ -311,146 +309,40 @@ Value Interpreter::evalInlined(const InlinedExpr *In, Frame &F, Control &C) {
   return Result;
 }
 
-Value Interpreter::invokeMethod(MethodId M, int VersionIndex,
-                                size_t ArgsBase, SourceLoc CallLoc,
-                                Control &C) {
-  if (VersionIndex < 0)
-    return fail(C, TrapKind::InternalError, CallLoc,
-                "internal: no compiled version matches arguments of " +
-                    P.methodLabel(M));
-  return invokeVersion(CP.version(static_cast<uint32_t>(VersionIndex)),
-                       ArgsBase, CallLoc, C);
-}
-
-Value Interpreter::invokeVersion(const CompiledMethod &CM, size_t ArgsBase,
-                                 SourceLoc CallLoc, Control &C) {
-  const MethodInfo &M = P.method(CM.Source);
-  CP.markInvoked(CM.Index);
-
-  if (M.isBuiltin())
-    return invokePrim(M.Prim, ArgStack.data() + ArgsBase, CallLoc, C);
-
-  if (!callAllowed(CallLoc, C))
-    return Value::nil();
-
-  ++Stats.MethodInvocations;
-  const uint64_t Activation = NextActivation++;
-  const size_t NumArgs = ArgStack.size() - ArgsBase;
-  assert(CM.Layout.Params.size() == NumArgs && "dispatcher arity mismatch");
-  Value Result = activate(
-      CM.Layout, ArgStack.data() + ArgsBase, NumArgs, nullptr, Activation,
-      CM.Source, [&](Frame &F) { return eval(CM.Body.get(), F, C); });
-
-  if (C.K == Control::Kind::Return && C.Activation == Activation &&
-      C.Boundary == 0) {
-    Result = C.Val;
-    C = Control();
-  }
-  return Result;
-}
-
-Value Interpreter::dispatchCall(const SendExpr *S, size_t ArgsBase,
-                                Control &C) {
-  gatherClasses(ArgStack.data() + ArgsBase, ArgStack.size() - ArgsBase);
-  MethodId Target = Disp.lookup(S->Generic, ClassScratch);
-  if (!Target.isValid())
-    return failDispatch(C, S);
-
-  recordArc(S->Site, Target);
-  ++Stats.DynamicDispatches;
-  Stats.Cycles += Costs.DynamicDispatchCost;
-  // The version comes from selectVersion, never from the table cell the
-  // bytecode tier reads: this tier is the oracle the tier-agreement
-  // checks hold those cells to.
-  return invokeMethod(Target, CP.selectVersion(Target, ClassScratch),
-                      ArgsBase, S->getLoc(), C);
-}
-
 Value Interpreter::evalSend(const SendExpr *S, Frame &F, Control &C) {
   const size_t ArgsBase = ArgStack.size();
   ArgStackScope ArgsScope{ArgStack, ArgsBase};
   if (!evalArgs(S->Args, F, C))
     return Value::nil();
   const Value *Args = ArgStack.data() + ArgsBase;
-  const size_t NumArgs = ArgStack.size() - ArgsBase;
+  const size_t N = ArgStack.size() - ArgsBase;
 
+  // Every dynamic target is a dispatch-table read, and every version comes
+  // from selectVersion, never from the table cell the bytecode tier reads:
+  // this tier is the oracle the tier-agreement checks hold those cells to.
+  auto Lookup = [&](MethodId &Target, int &Version) {
+    Target = Disp.lookup(S->Generic, ClassScratch);
+    if (!Target.isValid())
+      return false;
+    Version = CP.selectVersion(Target, ClassScratch);
+    return true;
+  };
   switch (S->Binding.Kind) {
   case SendBindKind::Dynamic:
-    return dispatchCall(S, ArgsBase, C);
-
-  case SendBindKind::Static: {
-    const CompiledMethod &CM = CP.version(S->Binding.TargetVersion);
-    if (Opts.ValidateBindings && !bindingHolds(S, Args, NumArgs, C))
-      return Value::nil();
-    recordArc(S->Site, CM.Source);
-    ++Stats.StaticCalls;
-    Stats.Cycles += Costs.StaticCallCost;
-    return invokeVersion(CM, ArgsBase, S->getLoc(), C);
-  }
-
-  case SendBindKind::StaticSelect: {
-    gatherClasses(Args, NumArgs);
-    if (Opts.ValidateBindings && !bindingHolds(S, Args, NumArgs, C))
-      return Value::nil();
-    recordArc(S->Site, S->Binding.Target);
-    ++Stats.VersionSelects;
-    Stats.Cycles += Costs.VersionSelectCost;
-    return invokeMethod(S->Binding.Target,
-                        CP.selectVersion(S->Binding.Target, ClassScratch),
-                        ArgsBase, S->getLoc(), C);
-  }
-
-  case SendBindKind::InlinePrim: {
-    if (Opts.ValidateBindings && !bindingHolds(S, Args, NumArgs, C))
-      return Value::nil();
-    recordArc(S->Site, S->Binding.Target);
-    ++Stats.InlinePrims;
-    Stats.Cycles += Costs.InlinePrimCost;
-    return invokePrim(P.method(S->Binding.Target).Prim, Args, S->getLoc(), C);
-  }
-
-  case SendBindKind::FeedbackGuard: {
-    gatherClasses(Args, NumArgs);
-    // The modeled machine executes an inline-cache class test; this
-    // implementation realizes the test with a dispatch-table read.
-    Stats.Cycles += Costs.PredictTestCost;
-    MethodId Real = Disp.lookup(S->Generic, ClassScratch);
-    if (!Real.isValid())
-      return failDispatch(C, S);
-    recordArc(S->Site, Real);
-    if (Real == S->Binding.Target) {
-      ++Stats.FeedbackHits;
-      const MethodInfo &M = P.method(Real);
-      if (M.isBuiltin()) {
-        Stats.Cycles += Costs.InlinePrimCost;
-        return invokePrim(M.Prim, Args, S->getLoc(), C);
-      }
-      Stats.Cycles += Costs.StaticCallCost;
-      return invokeMethod(Real, CP.selectVersion(Real, ClassScratch),
-                          ArgsBase, S->getLoc(), C);
-    }
-    ++Stats.FeedbackMisses;
-    ++Stats.DynamicDispatches;
-    Stats.Cycles += Costs.DynamicDispatchCost;
-    return invokeMethod(Real, CP.selectVersion(Real, ClassScratch),
-                        ArgsBase, S->getLoc(), C);
-  }
-
-  case SendBindKind::Predicted: {
-    Stats.Cycles += Costs.PredictTestCost;
-    bool Hit = true;
-    for (size_t I = 0; I != NumArgs; ++I)
-      Hit &= Args[I].classOf() == S->Binding.PredictedClass;
-    if (Hit) {
-      recordArc(S->Site, S->Binding.Target);
-      ++Stats.PredictedHits;
-      Stats.Cycles += Costs.InlinePrimCost;
-      return invokePrim(P.method(S->Binding.Target).Prim, Args, S->getLoc(),
-                        C);
-    }
-    ++Stats.PredictedMisses;
-    return dispatchCall(S, ArgsBase, C);
-  }
+    return sendDynamic(*this, S, Args, N, C, Lookup);
+  case SendBindKind::Static:
+    return sendStatic(*this, S, Args, N, C);
+  case SendBindKind::StaticSelect:
+    return sendStaticSelect(*this, S, Args, N, C, [&](MethodId Target) {
+      return CP.selectVersion(Target, ClassScratch);
+    });
+  case SendBindKind::InlinePrim:
+    return sendInlinePrim(S, P.method(S->Binding.Target).Prim, Args, N, C);
+  case SendBindKind::FeedbackGuard:
+    return sendFeedbackGuard(*this, S, Args, N, C, Lookup);
+  case SendBindKind::Predicted:
+    return sendPredicted(*this, S, P.method(S->Binding.Target).Prim, Args, N,
+                         C, Lookup);
   }
   return fail(C, TrapKind::InternalError, S->getLoc(),
               "internal: unknown binding kind");
@@ -458,8 +350,6 @@ Value Interpreter::evalSend(const SendExpr *S, Frame &F, Control &C) {
 
 Value Interpreter::enter(MethodId Target, int Version,
                          std::vector<Value> &Args, Control &C) {
-  const size_t ArgsBase = ArgStack.size();
-  ArgStackScope ArgsScope{ArgStack, ArgsBase};
-  ArgStack.insert(ArgStack.end(), Args.begin(), Args.end());
-  return invokeMethod(Target, Version, ArgsBase, SourceLoc(), C);
+  return invokeMethod(*this, Target, Version, Args.data(), Args.size(),
+                      SourceLoc(), C);
 }

@@ -14,9 +14,13 @@
 /// and modeled cycles for Figure 5, invoked-version bits for Figure 6).
 /// It is the semantic reference the bytecode tier is checked against.
 ///
-/// Primitives, traps, value rendering, resource guards, the callGeneric
+/// The send protocol of every binding kind, method invocation, `new`,
+/// primitives, traps, value rendering, resource guards, the callGeneric
 /// entry path and stats publication come from RuntimeCore, shared with
-/// the bytecode tier; this class adds only the tree walk.
+/// the bytecode tier; this class adds only the tree walk, its send hooks
+/// (a dynamic target is a dispatch-table read plus selectVersion, a body
+/// is the version's tree) and the argument stack it evaluates arguments
+/// onto.
 ///
 /// Non-local returns: `return` inside a closure unwinds to the closure's
 /// home method activation (Cecil semantics), which the Figure 1
@@ -43,26 +47,28 @@ public:
                        CostModel Costs = {});
 
 private:
+  friend class RuntimeCore; // the send protocol runs bodies via bodyOf/runBody
+
   Value enter(MethodId Target, int Version, std::vector<Value> &Args,
               Control &C) override;
 
   Value eval(const Expr *E, Frame &F, Control &C);
   Value evalSend(const SendExpr *S, Frame &F, Control &C);
   Value evalInlined(const InlinedExpr *In, Frame &F, Control &C);
-  // Call arguments travel on a shared stack (ArgStack): a caller records
-  // the current depth (ArgsBase), evaluates its arguments on top, and the
-  // callee consumes exactly the entries above ArgsBase.  Entries are
-  // indexed, never held by reference across eval, because nested sends
-  // push (and may reallocate) above them.
-  Value invokeMethod(MethodId M, int VersionIndex, size_t ArgsBase,
-                     SourceLoc CallLoc, Control &C);
-  Value invokeVersion(const CompiledMethod &CM, size_t ArgsBase,
-                      SourceLoc CallLoc, Control &C);
-  Value dispatchCall(const SendExpr *S, size_t ArgsBase, Control &C);
   bool evalArgs(const std::vector<ExprPtr> &ArgExprs, Frame &F, Control &C);
   bool chargeNode(const Expr *E, Control &C);
 
-  /// Shared argument stack; see the invokeMethod comment for discipline.
+  /// The send protocol's body hooks: a version's body is its own tree.
+  const CompiledMethod *bodyOf(const CompiledMethod &CM, SourceLoc,
+                               Control &) {
+    return &CM;
+  }
+  Value runBody(const CompiledMethod &CM, Frame &F, Control &C) {
+    return eval(CM.Body.get(), F, C);
+  }
+
+  /// Call arguments, evaluated on top of the stack and handed to the core
+  /// as a pointer and a count; popped when the call returns.
   std::vector<Value> ArgStack;
 };
 

@@ -214,6 +214,12 @@ Value RuntimeCore::failDispatch(Control &C, const SendExpr *S) {
               "message '" + P.genericLabel(S->Generic) + "' not understood");
 }
 
+Value RuntimeCore::failNoVersion(Control &C, SourceLoc Loc, MethodId M) {
+  return fail(C, TrapKind::InternalError, Loc,
+              "internal: no compiled version matches arguments of " +
+                  P.methodLabel(M));
+}
+
 Value RuntimeCore::failNodeBudget(Control &C, SourceLoc Loc) {
   return fail(C, TrapKind::NodeBudgetExceeded, Loc,
               "execution exceeded the node budget of " +

@@ -8,15 +8,19 @@
 /// The runtime core both execution tiers derive from.  Everything the
 /// tiers must agree on for RunStats, output and traps to be bit-identical
 /// lives here once: the per-run state (stats, trap, heap, dispatcher,
-/// frame pool, depth and native-stack guards), the primitives, value
-/// rendering, every trap constructor, profile-arc recording, the
-/// callGeneric entry path and the `interp.*` counter publication.  A tier
-/// adds only how it walks code: the AST Interpreter evaluates expression
-/// trees, the BytecodeInterpreter runs a register-bytecode loop.
+/// frame pool, depth and native-stack guards), the send protocol of every
+/// binding kind and the method invocation behind it, `new`, the
+/// primitives, value rendering, every trap constructor, profile-arc
+/// recording, the callGeneric entry path and the `interp.*` counter
+/// publication.  A tier adds only how it walks code (the AST Interpreter
+/// evaluates expression trees, the BytecodeInterpreter runs a
+/// register-bytecode loop), how it finds a dynamic send's target, and how
+/// it runs a version's body; it hands those to the send entry points as
+/// hooks (see "The send protocol" below).
 ///
 /// The only virtual call is enter(), once per callGeneric; the per-node,
 /// per-instruction and per-send paths call the core's inline or
-/// out-of-line members directly.
+/// out-of-line members directly, and the hooks are template arguments.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +39,7 @@
 #include "support/FailPoint.h"
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -169,6 +174,177 @@ protected:
       ClassScratch.push_back(Args[I].classOf());
   }
 
+  //===--------------------------------------------------------------------===//
+  // The send protocol
+  //
+  // One entry point per SendBindKind, each owning its kind's whole
+  // protocol in a fixed order: the argument classes into ClassScratch,
+  // binding validation, the profile arc, every RunStats send counter and
+  // Costs send charge, the dispatch-failure trap, and the invocation.  The
+  // arguments are \p Args[0, N); they are read only before the callee's
+  // body starts, so a tier may keep them on a stack that the body grows.
+  // A tier passes three hooks, all template arguments:
+  //   - Lookup(MethodId &Target, int &Version) -> bool: a dynamic send's
+  //     target and compiled version for the classes in ClassScratch;
+  //     false when no method applies;
+  //   - Select(MethodId Target) -> int: StaticSelect's version of Target
+  //     for the classes in ClassScratch;
+  //   - the tier itself, \p Tier, which runs a version's body:
+  //     Tier.bodyOf(CM, Loc, C) names version CM's body, anything with
+  //     the frame `Layout` to run it in (null after trapping), and
+  //     Tier.runBody(Body, Frame &, C) runs it.
+  //===--------------------------------------------------------------------===//
+
+  template <class TierT, class LookupT>
+  Value sendDynamic(TierT &Tier, const SendExpr *S, const Value *Args,
+                    size_t N, Control &C, LookupT Lookup) {
+    gatherClasses(Args, N);
+    MethodId Target;
+    int Version = -1;
+    if (!Lookup(Target, Version))
+      return failDispatch(C, S);
+    recordArc(S->Site, Target);
+    ++Stats.DynamicDispatches;
+    Stats.Cycles += Costs.DynamicDispatchCost;
+    return invokeMethod(Tier, Target, Version, Args, N, S->getLoc(), C);
+  }
+
+  template <class TierT>
+  Value sendStatic(TierT &Tier, const SendExpr *S, const Value *Args,
+                   size_t N, Control &C) {
+    const CompiledMethod &CM = CP.version(S->Binding.TargetVersion);
+    if (Opts.ValidateBindings && !bindingHolds(S, Args, N, C))
+      return Value::nil();
+    recordArc(S->Site, CM.Source);
+    ++Stats.StaticCalls;
+    Stats.Cycles += Costs.StaticCallCost;
+    return invokeVersion(Tier, CM, Args, N, S->getLoc(), C);
+  }
+
+  template <class TierT, class SelectT>
+  Value sendStaticSelect(TierT &Tier, const SendExpr *S, const Value *Args,
+                         size_t N, Control &C, SelectT Select) {
+    gatherClasses(Args, N);
+    if (Opts.ValidateBindings && !bindingHolds(S, Args, N, C))
+      return Value::nil();
+    const MethodId Target = S->Binding.Target;
+    recordArc(S->Site, Target);
+    ++Stats.VersionSelects;
+    Stats.Cycles += Costs.VersionSelectCost;
+    return invokeMethod(Tier, Target, Select(Target), Args, N, S->getLoc(),
+                        C);
+  }
+
+  /// \p Prim is the bound target's primitive.
+  Value sendInlinePrim(const SendExpr *S, PrimOp Prim, const Value *Args,
+                       size_t N, Control &C) {
+    if (Opts.ValidateBindings && !bindingHolds(S, Args, N, C))
+      return Value::nil();
+    recordArc(S->Site, S->Binding.Target);
+    ++Stats.InlinePrims;
+    Stats.Cycles += Costs.InlinePrimCost;
+    return invokePrim(Prim, Args, S->getLoc(), C);
+  }
+
+  /// The modeled machine executes an inline-cache class test, charged
+  /// before the tier's Lookup realizes it.
+  template <class TierT, class LookupT>
+  Value sendFeedbackGuard(TierT &Tier, const SendExpr *S, const Value *Args,
+                          size_t N, Control &C, LookupT Lookup) {
+    gatherClasses(Args, N);
+    Stats.Cycles += Costs.PredictTestCost;
+    MethodId Real;
+    int Version = -1;
+    if (!Lookup(Real, Version))
+      return failDispatch(C, S);
+    recordArc(S->Site, Real);
+    if (Real == S->Binding.Target) {
+      ++Stats.FeedbackHits;
+      const MethodInfo &M = P.method(Real);
+      if (M.isBuiltin()) {
+        Stats.Cycles += Costs.InlinePrimCost;
+        return invokePrim(M.Prim, Args, S->getLoc(), C);
+      }
+      Stats.Cycles += Costs.StaticCallCost;
+    } else {
+      ++Stats.FeedbackMisses;
+      ++Stats.DynamicDispatches;
+      Stats.Cycles += Costs.DynamicDispatchCost;
+    }
+    return invokeMethod(Tier, Real, Version, Args, N, S->getLoc(), C);
+  }
+
+  /// \p Prim is the predicted target's primitive; a miss is a Dynamic
+  /// send.
+  template <class TierT, class LookupT>
+  Value sendPredicted(TierT &Tier, const SendExpr *S, PrimOp Prim,
+                      const Value *Args, size_t N, Control &C,
+                      LookupT Lookup) {
+    Stats.Cycles += Costs.PredictTestCost;
+    bool Hit = true;
+    for (size_t I = 0; I != N; ++I)
+      Hit &= Args[I].classOf() == S->Binding.PredictedClass;
+    if (Hit) {
+      recordArc(S->Site, S->Binding.Target);
+      ++Stats.PredictedHits;
+      Stats.Cycles += Costs.InlinePrimCost;
+      return invokePrim(Prim, Args, S->getLoc(), C);
+    }
+    ++Stats.PredictedMisses;
+    return sendDynamic(Tier, S, Args, N, C, Lookup);
+  }
+
+  /// Invokes compiled version \p Version of \p M (negative: none matched,
+  /// an internal trap).
+  template <class TierT>
+  Value invokeMethod(TierT &Tier, MethodId M, int Version, const Value *Args,
+                     size_t N, SourceLoc Loc, Control &C) {
+    if (Version < 0)
+      return failNoVersion(C, Loc, M);
+    return invokeVersion(Tier, CP.version(static_cast<uint32_t>(Version)),
+                         Args, N, Loc, C);
+  }
+
+  /// Invokes \p CM: a builtin runs its primitive; a Mica method passes
+  /// callAllowed and runs its body in a fresh activation, which catches
+  /// the boundary-0 returns aimed at it.
+  template <class TierT>
+  Value invokeVersion(TierT &Tier, const CompiledMethod &CM,
+                      const Value *Args, size_t N, SourceLoc Loc,
+                      Control &C) {
+    const MethodInfo &M = P.method(CM.Source);
+    CP.markInvoked(CM.Index);
+    if (M.isBuiltin())
+      return invokePrim(M.Prim, Args, Loc, C);
+    if (!callAllowed(Loc, C))
+      return Value::nil();
+    const auto *Body = Tier.bodyOf(CM, Loc, C);
+    if (!Body)
+      return Value::nil();
+    ++Stats.MethodInvocations;
+    const uint64_t Activation = NextActivation++;
+    assert(Body->Layout.Params.size() == N && "dispatcher arity mismatch");
+    Value Result =
+        activate(Body->Layout, Args, N, nullptr, Activation, CM.Source,
+                 [&](Frame &F) { return Tier.runBody(*Body, F, C); });
+    if (C.K == Control::Kind::Return && C.Activation == Activation &&
+        C.Boundary == 0) {
+      Result = C.Val;
+      C = Control();
+    }
+    return Result;
+  }
+
+  /// `new`: the allocation guards, the Allocations count and the
+  /// AllocCost-plus-slots charge.  The instance, or null after trapping.
+  Obj *newInstance(ClassId Cls, unsigned Slots, SourceLoc Loc, Control &C) {
+    if (!allocationFits(membudget::instanceBytes(Slots), Loc, C))
+      return nullptr;
+    ++Stats.Allocations;
+    Stats.Cycles += Costs.AllocCost + Slots;
+    return TheHeap.newInstance(Cls, Slots);
+  }
+
   void recordArc(CallSiteId Site, MethodId Callee) {
     if (Opts.Profile && Site.isValid())
       Opts.Profile->addHits(Site, P.callSite(Site).Owner, Callee);
@@ -288,6 +464,10 @@ protected:
   /// no-applicable-method vs. ambiguous via a (cold) re-dispatch.
   [[gnu::cold]] [[gnu::noinline]] Value failDispatch(Control &C,
                                                      const SendExpr *S);
+  /// No compiled version of \p M matches the arguments (an internal error).
+  [[gnu::cold]] [[gnu::noinline]] Value failNoVersion(Control &C,
+                                                      SourceLoc Loc,
+                                                      MethodId M);
   [[gnu::cold]] [[gnu::noinline]] Value failNodeBudget(Control &C,
                                                        SourceLoc Loc);
   [[gnu::cold]] [[gnu::noinline]] Value failDepth(Control &C, SourceLoc Loc);

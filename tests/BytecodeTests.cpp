@@ -32,6 +32,7 @@
 
 #include <functional>
 #include <iterator>
+#include <set>
 #include <sstream>
 
 using namespace selspec;
@@ -45,6 +46,7 @@ struct TierRun {
   RunStats Stats;
   std::string Output;
   TrapKind Trap = TrapKind::None;
+  SourceLoc TrapLoc;
   std::string Error;
 };
 
@@ -54,26 +56,31 @@ TierRun finish(RuntimeCore &I, bool Ok, const std::ostringstream &Out) {
   R.Stats = I.stats();
   R.Output = Out.str();
   R.Trap = I.trap().Kind;
+  R.TrapLoc = I.trap().Loc;
   R.Error = I.errorMessage();
   return R;
 }
 
+/// \p Validate turns on RunOptions::ValidateBindings.
 TierRun runAstTier(CompiledProgram &CP, int64_t Input,
-                   const ResourceLimits &Limits = {}) {
+                   const ResourceLimits &Limits = {}, bool Validate = false) {
   std::ostringstream Out;
   RunOptions Opts;
   Opts.Output = &Out;
   Opts.Limits = Limits;
+  Opts.ValidateBindings = Validate;
   Interpreter I(CP, Opts);
   return finish(I, I.callMain(Input), Out);
 }
 
 TierRun runBytecodeTier(CompiledProgram &CP, BcModule &Mod, int64_t Input,
-                        const ResourceLimits &Limits = {}) {
+                        const ResourceLimits &Limits = {},
+                        bool Validate = false) {
   std::ostringstream Out;
   RunOptions Opts;
   Opts.Output = &Out;
   Opts.Limits = Limits;
+  Opts.ValidateBindings = Validate;
   BytecodeInterpreter I(CP, Mod, Opts);
   return finish(I, I.callMain(Input), Out);
 }
@@ -123,6 +130,8 @@ void expectSameRun(const TierRun &Ast, const TierRun &Bc,
   EXPECT_EQ(Ast.Ok, Bc.Ok) << Label << "\n  ast: " << Ast.Error
                            << "\n  bc:  " << Bc.Error;
   EXPECT_EQ(Ast.Trap, Bc.Trap) << Label;
+  EXPECT_EQ(Ast.TrapLoc.Line, Bc.TrapLoc.Line) << Label;
+  EXPECT_EQ(Ast.TrapLoc.Col, Bc.TrapLoc.Col) << Label;
   EXPECT_EQ(Ast.Error, Bc.Error) << Label;
   EXPECT_EQ(Ast.Output, Bc.Output) << Label;
   expectSameStats(Ast.Stats, Bc.Stats, Label);
@@ -413,6 +422,173 @@ TEST(BytecodeDifferential, HeapLimitTrap) {
       while (i < 1000) { new Node { next := nil }; i := i + 1; }
     })"},
                    0, Limits);
+}
+
+//===----------------------------------------------------------------------===//
+// The send protocol: every binding kind, its traps, and type feedback.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Adds the binding kinds of the sends at \p Loc under \p E to \p Out
+/// (inlined copies of one source send share its location).
+void collectKindsAt(const Expr *E, SourceLoc Loc,
+                    std::set<SendBindKind> &Out) {
+  if (E->getKind() == Expr::Kind::Send && E->getLoc().Line == Loc.Line &&
+      E->getLoc().Col == Loc.Col)
+    Out.insert(cast<SendExpr>(E)->Binding.Kind);
+  forEachChild(E, [&](const Expr *Child) { collectKindsAt(Child, Loc, Out); });
+}
+
+/// Compiles \p P under every configuration with type feedback from \p CG
+/// and runs main(Input) for each of \p Inputs on both tiers with binding
+/// validation on, expecting identical runs; \p Check sees each AST run.
+void expectTiersAgreeWithFeedback(
+    Program &P, const CallGraph &CG, std::initializer_list<int64_t> Inputs,
+    const ResourceLimits &Limits,
+    const std::function<void(Config, const CompiledProgram &, int64_t,
+                             const TierRun &)> &Check) {
+  OptimizerOptions Opt;
+  Opt.EnableTypeFeedback = true;
+  for (Config C : AllConfigs) {
+    std::unique_ptr<CompiledProgram> CP = compileProgram(P, C, &CG, {}, Opt);
+    ASSERT_TRUE(CP);
+    BcModule Mod = compileToBytecode(*CP);
+    ASSERT_TRUE(Mod.Ok) << configName(C) << ": " << Mod.Error;
+    for (int64_t Input : Inputs) {
+      TierRun Ast = runAstTier(*CP, Input, Limits, /*Validate=*/true);
+      TierRun Bc = runBytecodeTier(*CP, Mod, Input, Limits, /*Validate=*/true);
+      expectSameRun(Ast, Bc, std::string("config ") + configName(C) +
+                                 " input " + std::to_string(Input));
+      Check(C, *CP, Input, Ast);
+    }
+  }
+}
+
+} // namespace
+
+TEST(BytecodeDifferential, EveryBindingKindAndItsTraps) {
+  // main(0) sends through all six binding kinds somewhere across the
+  // configurations; main(1..5) then trap through one kind each: not
+  // understood through Dynamic, a Predicted miss and a FeedbackGuard, and
+  // the depth limit through Static and StaticSelect.
+  std::unique_ptr<Program> P = buildProgram({R"(
+    class Shape { slot w; }
+    class Circle isa Shape { }
+    class Square isa Shape { }
+    class Other { }
+    method area(s@Circle) { s.w * 3; }
+    method area(s@Square) { s.w * s.w; }
+    method scale(s@Shape, k@Int) { area(s) * k; }
+    method pick(i@Int) {
+      if (i % 10 == 0) { new Square { w := 2 }; } else { new Circle { w := 1 }; }
+    }
+    method probe(x) { area(x); }
+    method count(d@Int) { if (d == 0) { 0; } else { count(d - 1) + 1; } }
+    method ping(x, d@Int) {
+      if (d == 0) { 0; } else {
+        let a := array(1);
+        atPut(a, 0, x);
+        ping(at(a, 0), d - 1) + 1;
+      }
+    }
+    method main(n@Int) {
+      let total := 0;
+      let v := 0;
+      let i := 0;
+      while (i < 1100) {
+        let s := pick(i);
+        total := total + scale(s, 2) + probe(s) + ping(s, 2) + count(2);
+        if (s == s) { total := total + 1; }
+        i := i + 1;
+      }
+      print(total);
+      if (n == 1) { area(new Other); }
+      if (n == 2) { v := "x"; print(v + 1); }
+      if (n == 3) { probe(new Other); }
+      if (n == 4) { count(1000); }
+      if (n == 5) { ping(new Circle { w := 1 }, 1000); }
+    })"});
+  ASSERT_TRUE(P);
+  CallGraph CG;
+  {
+    std::unique_ptr<CompiledProgram> Base = compileProgram(*P, Config::Base);
+    runMain(*Base, 0, nullptr, &CG);
+  }
+  ResourceLimits Limits;
+  Limits.MaxDepth = 64;
+  RunStats Sum;
+  std::set<SendBindKind> TrappedThrough[6];
+  expectTiersAgreeWithFeedback(
+      *P, CG, {0, 1, 2, 3, 4, 5}, Limits,
+      [&](Config C, const CompiledProgram &CP, int64_t Input,
+          const TierRun &Ast) {
+        if (Input == 0) {
+          EXPECT_TRUE(Ast.Ok) << configName(C) << ": " << Ast.Error;
+          Sum.DynamicDispatches += Ast.Stats.DynamicDispatches;
+          Sum.StaticCalls += Ast.Stats.StaticCalls;
+          Sum.VersionSelects += Ast.Stats.VersionSelects;
+          Sum.InlinePrims += Ast.Stats.InlinePrims;
+          Sum.PredictedHits += Ast.Stats.PredictedHits;
+          Sum.PredictedMisses += Ast.Stats.PredictedMisses;
+          Sum.FeedbackHits += Ast.Stats.FeedbackHits;
+          Sum.FeedbackMisses += Ast.Stats.FeedbackMisses;
+          return;
+        }
+        EXPECT_FALSE(Ast.Ok) << configName(C) << " input " << Input;
+        for (const CompiledMethod &CM : CP.versions())
+          if (CM.Body)
+            collectKindsAt(CM.Body.get(), Ast.TrapLoc,
+                           TrappedThrough[Input]);
+      });
+  EXPECT_GT(Sum.DynamicDispatches, 0u);
+  EXPECT_GT(Sum.StaticCalls, 0u);
+  EXPECT_GT(Sum.VersionSelects, 0u);
+  EXPECT_GT(Sum.InlinePrims, 0u);
+  EXPECT_GT(Sum.PredictedHits, 0u);
+  EXPECT_GT(Sum.PredictedMisses, 0u);
+  EXPECT_GT(Sum.FeedbackHits, 0u);
+  EXPECT_GT(Sum.FeedbackMisses, 0u);
+  const SendBindKind Through[] = {
+      SendBindKind::Dynamic, SendBindKind::Predicted,
+      SendBindKind::FeedbackGuard, SendBindKind::Static,
+      SendBindKind::StaticSelect};
+  for (int64_t N = 1; N <= 5; ++N)
+    EXPECT_TRUE(TrappedThrough[N].count(Through[N - 1]))
+        << "main(" << N << ") never trapped through the expected kind";
+}
+
+TEST(BytecodeDifferential, TypeFeedbackGuardHitsAndMisses) {
+  // The AST tier realizes a FeedbackGuard with a dispatch-table read, the
+  // bytecode tier with its inline cache; both must count the same hits
+  // and misses (90% of tag() sends hit the profiled tag(B)).
+  std::unique_ptr<Program> P = buildProgram({R"(
+    class A; class B isa A; class C isa A;
+    method tag(x@B) { 1; }
+    method tag(x@C) { 2; }
+    method pick(n@Int) { if (n % 10 == 0) { new C; } else { new B; } }
+    method main(n@Int) {
+      let total := 0;
+      let i := 0;
+      while (i < n) { total := total + tag(pick(i)); i := i + 1; }
+      print(total);
+    })"});
+  ASSERT_TRUE(P);
+  CallGraph CG;
+  {
+    std::unique_ptr<CompiledProgram> Base = compileProgram(*P, Config::Base);
+    runMain(*Base, 2000, nullptr, &CG);
+  }
+  expectTiersAgreeWithFeedback(
+      *P, CG, {2000}, {},
+      [](Config C, const CompiledProgram &, int64_t, const TierRun &Ast) {
+        EXPECT_TRUE(Ast.Ok) << configName(C) << ": " << Ast.Error;
+        EXPECT_EQ(Ast.Output, "2200\n") << configName(C);
+        if (C == Config::CHA) {
+          EXPECT_EQ(Ast.Stats.FeedbackHits, 1800u);
+          EXPECT_EQ(Ast.Stats.FeedbackMisses, 200u);
+        }
+      });
 }
 
 //===----------------------------------------------------------------------===//

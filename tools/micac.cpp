@@ -32,10 +32,12 @@
 ///   --time-report       print per-phase wall-clock times and the
 ///                       executed-node-kind histogram of the measured run
 ///   --db FILE           profile-database path (profile subcommand) [profile.db]
-///   --profile-db FILE   run: load the training profile from a saved database
-///                       instead of running the training input
+///   --profile-db FILE   run/report/plan/dump: load the training profile from
+///                       a saved database instead of running the training
+///                       input
 ///   --directives FILE   run: compile and run a saved directives file instead
-///                       of profiling and planning; plan: where to write it
+///                       of planning (profiling only for --feedback); plan:
+///                       where to write it
 ///   --max-depth N       Mica recursion depth limit                [800]
 ///   --max-nodes N       executed-node budget per run              [4e9]
 ///   --max-objects N     live heap object-count limit              [16M]
@@ -293,6 +295,29 @@ int reportFailure(const Workbench &W, const std::string &Err) {
   return failureExit(W.lastTrap());
 }
 
+/// Fills \p W's training profile from the one profile source of every
+/// command: the --profile-db database when one is given, otherwise (and
+/// only when the command \p Needs a profile) a run of the training input.
+/// Returns 0, or the exit code of the failure.
+int loadProfile(const CliOptions &O, Workbench &W, bool Needs) {
+  if (O.ProfileDbPath.empty()) {
+    std::string Err;
+    if (Needs && !W.collectProfile(O.ProfileInput, Err))
+      return reportFailure(W, Err);
+    return 0;
+  }
+  Diagnostics ProfileDiags;
+  bool Ok = W.loadProfileDb(O.ProfileDbPath, O.Files.front(), ProfileDiags);
+  std::string Text = ProfileDiags.toString();
+  if (!Text.empty())
+    std::cerr << Text;
+  if (Ok)
+    return 0;
+  std::cerr << "micac: cannot load profile database '" << O.ProfileDbPath
+            << "'\n";
+  return 1;
+}
+
 /// Prints the --dump-bytecode listing of \p Mod, or when null (the AST
 /// tier) of \p CP lowered for the listing alone.  Returns the exit code.
 int dumpBytecodeListing(const CompiledProgram &CP, const BcModule *Mod) {
@@ -362,8 +387,8 @@ int cmdRun(const CliOptions &O) {
   std::unique_ptr<Workbench> W = load(O);
   std::string Err;
 
-  // Replaying a saved directives file skips profiling and planning
-  // (Section 4's "the compiler then executes the directives").
+  // Replaying a saved directives file skips planning (Section 4's "the
+  // compiler then executes the directives").
   SpecializationPlan Directives;
   if (!O.DirectivesPath.empty()) {
     std::ifstream IS(O.DirectivesPath);
@@ -378,24 +403,14 @@ int cmdRun(const CliOptions &O) {
       std::cerr << "micac: " << Err << '\n';
       return 1;
     }
-  } else if (!O.ProfileDbPath.empty()) {
-    // The training profile comes from a saved database when --profile-db
-    // is given, otherwise from an instrumented run of the training input.
-    Diagnostics ProfileDiags;
-    bool Ok = W->loadProfileDb(O.ProfileDbPath, O.Files.front(), ProfileDiags);
-    std::string Text = ProfileDiags.toString();
-    if (!Text.empty())
-      std::cerr << Text;
-    if (!Ok) {
-      std::cerr << "micac: cannot load profile database '" << O.ProfileDbPath
-                << "'\n";
-      return 1;
-    }
-  } else if (O.Configuration == Config::Selective ||
-             O.Opt.EnableTypeFeedback) {
-    if (!W->collectProfile(O.ProfileInput, Err))
-      return reportFailure(*W, Err);
   }
+  // Planning needs a profile only for Selective; type feedback needs one
+  // in a replay too.
+  if (int Rc = loadProfile(O, *W,
+                           O.Opt.EnableTypeFeedback ||
+                               (O.DirectivesPath.empty() &&
+                                O.Configuration == Config::Selective)))
+    return Rc;
   std::shared_ptr<const CompiledSnapshot> Snap =
       O.DirectivesPath.empty()
           ? W->buildSnapshot(O.Configuration, Err, O.Sel, O.Opt)
@@ -422,12 +437,10 @@ int cmdRun(const CliOptions &O) {
 
 int cmdDump(const CliOptions &O) {
   std::unique_ptr<Workbench> W = load(O);
-  std::string Err;
-  if (O.Configuration == Config::Selective ||
-      O.Opt.EnableTypeFeedback) {
-    if (!W->collectProfile(O.ProfileInput, Err))
-      return reportFailure(*W, Err);
-  }
+  if (int Rc = loadProfile(O, *W,
+                           O.Configuration == Config::Selective ||
+                               O.Opt.EnableTypeFeedback))
+    return Rc;
   std::unique_ptr<CompiledProgram> CP =
       W->compileOnly(O.Configuration, O.Sel, O.Opt);
   flushDiags(*W);
@@ -454,9 +467,8 @@ int cmdDump(const CliOptions &O) {
 
 int cmdPlan(const CliOptions &O) {
   std::unique_ptr<Workbench> W = load(O);
-  std::string Err;
-  if (!W->collectProfile(O.ProfileInput, Err))
-    return reportFailure(*W, Err);
+  if (int Rc = loadProfile(O, *W, /*Needs=*/true))
+    return Rc;
   Diagnostics PlanDiags;
   SpecializationPlan Plan =
       makePlan(O.Configuration, W->program(), W->applicableClasses(),
@@ -482,9 +494,9 @@ int cmdPlan(const CliOptions &O) {
 
 int cmdReport(const CliOptions &O) {
   std::unique_ptr<Workbench> W = load(O);
+  if (int Rc = loadProfile(O, *W, /*Needs=*/true))
+    return Rc;
   std::string Err;
-  if (!W->collectProfile(O.ProfileInput, Err))
-    return reportFailure(*W, Err);
   TextTable T({"Config", "Dispatches", "Cycles", "Speedup", "Routines",
                "Invoked"});
   uint64_t BaseCycles = 0;

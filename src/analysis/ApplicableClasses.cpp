@@ -6,117 +6,76 @@
 
 #include "analysis/ApplicableClasses.h"
 
+#include "runtime/DispatchTable.h"
+
+#include <algorithm>
+#include <utility>
+
 using namespace selspec;
 
-ApplicableClassesAnalysis::ApplicableClassesAnalysis(const Program &P,
-                                                     uint64_t ExactTupleLimit)
+ApplicableClassesAnalysis::ApplicableClassesAnalysis(const Program &P)
     : P(P) {
-  assert(P.Classes.isFinalized() && "hierarchy must be finalized");
-  unsigned Universe = P.Classes.size();
+  const unsigned Universe = P.Classes.size();
   PerMethod.resize(P.numMethods());
   DispatchedPos.resize(P.numGenerics());
-  Fallback.assign(P.numGenerics(), false);
+  // Runs[m]: method m's classes at the position being projected, as runs
+  // in ClassId order.
+  std::vector<std::vector<ClassSet::Range>> Runs(P.numMethods());
 
   for (unsigned GI = 0; GI != P.numGenerics(); ++GI) {
     const GenericInfo &G = P.generic(GenericId(GI));
+    const DispatchTable T(P, G.Id);
+    const std::vector<unsigned> &Pos = DispatchedPos[GI] = T.positions();
 
-    // A position is dispatched when some method constrains it.
-    std::vector<unsigned> &Pos = DispatchedPos[GI];
-    for (unsigned I = 0; I != G.Arity; ++I) {
-      for (MethodId M : G.Methods) {
-        if (P.method(M).Specializers[I] != P.Classes.root()) {
-          Pos.push_back(I);
-          break;
+    // Every tuple starts as the cones of the method's specializers: exact
+    // at undispatched positions, and sound everywhere when the table was
+    // not materialized.
+    for (MethodId M : G.Methods)
+      for (ClassId Spec : P.method(M).Specializers)
+        PerMethod[M.value()].push_back(P.Classes.cone(Spec));
+    if (!T.materialized())
+      continue;
+
+    // One representative class per group, and Invokers[i][g]: the methods
+    // invoked by some cell whose group at dispatched position i is g.
+    std::vector<std::vector<ClassId>> Representative(Pos.size());
+    std::vector<std::vector<std::vector<MethodId>>> Invokers(Pos.size());
+    for (size_t PI = 0; PI != Pos.size(); ++PI) {
+      Representative[PI].resize(T.numGroups(PI));
+      Invokers[PI].resize(T.numGroups(PI));
+      for (unsigned C = 0; C != Universe; ++C)
+        Representative[PI][T.group(PI, ClassId(C))] = ClassId(C);
+    }
+    std::vector<ClassId> Args(G.Arity, P.Classes.root());
+    std::vector<uint32_t> Cursor(Pos.size(), 0);
+    for (size_t Cell = 0; Cell != T.tableSize(); ++Cell) {
+      for (size_t PI = 0; PI != Pos.size(); ++PI)
+        Args[Pos[PI]] = Representative[PI][Cursor[PI]];
+      if (MethodId M = T.lookup(Args); M.isValid())
+        for (size_t PI = 0; PI != Pos.size(); ++PI) {
+          std::vector<MethodId> &In = Invokers[PI][Cursor[PI]];
+          if (std::find(In.begin(), In.end(), M) == In.end())
+            In.push_back(M);
         }
-      }
+      for (size_t PI = 0;
+           PI != Cursor.size() && ++Cursor[PI] == T.numGroups(PI); ++PI)
+        Cursor[PI] = 0;
     }
 
-    // Initialize every method's tuple to the cones of its specializers;
-    // the dispatched positions are then refined below.
-    for (MethodId M : G.Methods) {
-      const MethodInfo &Info = P.method(M);
-      std::vector<ClassSet> Tuple;
-      Tuple.reserve(G.Arity);
-      for (unsigned I = 0; I != G.Arity; ++I)
-        Tuple.push_back(P.Classes.cone(Info.Specializers[I]));
-      PerMethod[M.value()] = std::move(Tuple);
-    }
-
-    if (G.Methods.size() <= 1 || Pos.empty())
-      continue; // No overriding possible; cones are exact.
-
-    uint64_t TupleSpace = 1;
-    for (size_t I = 0; I != Pos.size() && TupleSpace <= ExactTupleLimit; ++I)
-      TupleSpace *= Universe;
-
-    if (TupleSpace <= ExactTupleLimit) {
-      computeExact(G);
-    } else {
-      Fallback[GI] = true;
-      computePointwise(G);
-    }
-  }
-}
-
-void ApplicableClassesAnalysis::computeExact(const GenericInfo &G) {
-  unsigned Universe = P.Classes.size();
-  const std::vector<unsigned> &Pos = DispatchedPos[G.Id.value()];
-
-  // Clear the dispatched positions of every tuple; they are rebuilt from
-  // the exact invocation relation.
-  for (MethodId M : G.Methods)
-    for (unsigned I : Pos)
-      PerMethod[M.value()][I] = ClassSet::empty(Universe);
-
-  // Enumerate every assignment of classes to the dispatched positions and
-  // run the real dispatcher.  The non-dispatched positions never affect
-  // dispatch and keep their cones.
-  std::vector<ClassId> Args(G.Arity, P.Classes.root());
-  std::vector<unsigned> Cursor(Pos.size(), 0);
-  for (;;) {
-    for (size_t I = 0; I != Pos.size(); ++I)
-      Args[Pos[I]] = ClassId(Cursor[I]);
-    MethodId Winner = P.dispatch(G.Id, Args);
-    if (Winner.isValid())
-      for (size_t I = 0; I != Pos.size(); ++I)
-        PerMethod[Winner.value()][Pos[I]].insert(ClassId(Cursor[I]));
-
-    // Advance the odometer.
-    size_t K = 0;
-    while (K != Cursor.size() && ++Cursor[K] == Universe) {
-      Cursor[K] = 0;
-      ++K;
-    }
-    if (K == Cursor.size())
-      break;
-  }
-}
-
-void ApplicableClassesAnalysis::computePointwise(const GenericInfo &G) {
-  // Conservative: remove from m's set at position i the cones of methods
-  // that override m (are strictly more specific overall) — classes there
-  // *may* bind elsewhere.  Exact for single dispatching.
-  for (MethodId M : G.Methods) {
-    const MethodInfo &Info = P.method(M);
-    std::vector<ClassSet> &Tuple = PerMethod[M.value()];
-    for (MethodId M2 : G.Methods) {
-      if (M2 == M)
-        continue;
-      if (!P.atLeastAsSpecific(M2, M))
-        continue;
-      // M2 overrides M.  At each dispatched position where M2 is strictly
-      // more specific, M loses M2's cone only if that alone guarantees M2
-      // wins; pointwise we can safely subtract only when the generic
-      // dispatches on a single position.
-      if (DispatchedPos[G.Id.value()].size() == 1) {
-        unsigned I = DispatchedPos[G.Id.value()][0];
-        ClassSet Sub = P.Classes.cone(P.method(M2).Specializers[I]);
-        if (P.method(M2).Specializers[I] != Info.Specializers[I])
-          Tuple[I].subtract(Sub);
-      }
-      // For multiple dispatched positions the pointwise projection cannot
-      // soundly subtract (a class excluded at position i may still invoke
-      // M with a different class at position j), so the cone stands.
+    // A method's set at a dispatched position is the union of the groups
+    // its cells name there.
+    for (size_t PI = 0; PI != Pos.size(); ++PI) {
+      for (unsigned C = 0; C != Universe; ++C)
+        for (MethodId M : Invokers[PI][T.group(PI, ClassId(C))]) {
+          std::vector<ClassSet::Range> &R = Runs[M.value()];
+          if (!R.empty() && R.back().Hi == C)
+            ++R.back().Hi;
+          else
+            R.push_back({C, C + 1});
+        }
+      for (MethodId M : G.Methods)
+        PerMethod[M.value()][Pos[PI]] =
+            ClassSet::fromRuns(Universe, std::exchange(Runs[M.value()], {}));
     }
   }
 }

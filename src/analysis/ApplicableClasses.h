@@ -11,12 +11,17 @@
 ///   per formal, for which m might be invoked (excluding classes that bind
 ///   to overriding methods).
 ///
-/// For singly-dispatched generics this is the classic "cone minus
-/// overriding cones" computation.  For multi-methods, per-position sets
-/// are the projections of the exact invocation relation; we compute them
-/// exactly by enumerating dispatched-argument tuples when that space is
-/// small (the paper defers these "subtleties" to [Dean et al. 95]) and
-/// fall back to a conservative pointwise approximation otherwise.
+/// For multi-methods each set is the projection of the exact invocation
+/// relation onto its formal (the paper defers these "subtleties" to
+/// [Dean et al. 95]).  The §3.5 compressed dispatch table of a generic
+/// already holds that relation: its cells partition the class tuples, and
+/// every class of a cell's group at a position dispatches alike.  So m's
+/// set at a dispatched position is the union of that position's groups
+/// over the cells that invoke m, exact at any hierarchy size for
+/// O(cells × arity + classes) per generic.  Undispatched positions keep
+/// m's specializer cones, and so does every position of a generic whose
+/// table was not materialized (over a cap, or failed by the
+/// `dispatch.table-build` failpoint): a sound superset.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,10 +38,7 @@ namespace selspec {
 class ApplicableClassesAnalysis {
 public:
   /// Computes ApplicableClasses for every method in \p P.
-  /// \p ExactTupleLimit bounds the dispatched-tuple enumeration per
-  /// generic; above it the pointwise approximation is used.
-  explicit ApplicableClassesAnalysis(const Program &P,
-                                     uint64_t ExactTupleLimit = 1 << 16);
+  explicit ApplicableClassesAnalysis(const Program &P);
 
   /// The ApplicableClasses tuple of \p M (size = arity).  Empty sets mean
   /// the method can never be invoked (dead method).
@@ -45,24 +47,17 @@ public:
   }
 
   /// Argument positions of \p G on which any method actually dispatches
-  /// (has a non-root specializer).
+  /// (has a non-root specializer): the positions of \p G's table.
   const std::vector<unsigned> &dispatchedPositions(GenericId G) const {
     return DispatchedPos[G.value()];
   }
 
-  /// True if generic \p G needed the pointwise fallback (for tests).
-  bool usedFallback(GenericId G) const { return Fallback[G.value()]; }
-
   const Program &program() const { return P; }
 
 private:
-  void computeExact(const GenericInfo &G);
-  void computePointwise(const GenericInfo &G);
-
   const Program &P;
   std::vector<std::vector<ClassSet>> PerMethod;
   std::vector<std::vector<unsigned>> DispatchedPos;
-  std::vector<bool> Fallback;
 };
 
 } // namespace selspec

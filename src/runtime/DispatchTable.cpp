@@ -256,16 +256,9 @@ DispatchTable::DispatchTable(const Program &P, const CompiledProgram *CP,
   const GenericInfo &Info = P.generic(G);
   CtrTablesBuilt.add();
 
-  // An injected build failure takes the same degradation path as an
-  // oversized table: no materialization, lookups answer through
-  // Program::dispatch.
-  if (failpoint::anyArmed() && failpoint::triggered("dispatch.table-build")) {
-    degrade();
-    return;
-  }
-
   // Dispatched positions: where some method, or some version tuple of a
-  // method, constrains the argument.
+  // method, constrains the argument.  Found before any degradation, so
+  // positions() holds for every table.
   std::vector<std::vector<const ClassSet *>> VersionSets;
   for (unsigned I = 0; I != Info.Arity; ++I) {
     std::vector<const ClassSet *> Sets;
@@ -281,6 +274,14 @@ DispatchTable::DispatchTable(const Program &P, const CompiledProgram *CP,
       continue;
     Positions.push_back(I);
     VersionSets.push_back(std::move(Sets));
+  }
+
+  // An injected build failure takes the same degradation path as an
+  // oversized table: no materialization, lookups answer through
+  // Program::dispatch.
+  if (failpoint::anyArmed() && failpoint::triggered("dispatch.table-build")) {
+    degrade();
+    return;
   }
 
   GroupOf.resize(Positions.size());

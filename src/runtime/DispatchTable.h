@@ -37,7 +37,9 @@
 /// DispatchTables holds one table per generic of an immutable Program,
 /// built on the generic's first lookup and published once; a
 /// CompiledSnapshot owns one built for its CompiledProgram and every
-/// serving thread reads it.
+/// serving thread reads it.  CHA (ApplicableClassesAnalysis) reads a
+/// method-only table per generic too: its cells are the invocation
+/// relation whose projections are the ApplicableClasses sets.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -110,12 +112,18 @@ public:
   /// uint16_t, so a position with more groups falls back the same way.
   static constexpr size_t MaxGroups = size_t(UINT16_MAX) + 1;
 
-  /// Compression statistics.
-  unsigned numDispatchedPositions() const {
-    return static_cast<unsigned>(GroupOf.size());
-  }
+  /// The argument positions of the generic that dispatch, in order; set
+  /// whether or not the table materialized.
+  const std::vector<unsigned> &positions() const { return Positions; }
+
+  /// Compression statistics and the class groups of a materialized table:
+  /// the group count at dispatched position \p DispatchedPos (an index
+  /// into positions()), and the group of \p C there.
   unsigned numGroups(unsigned DispatchedPos) const {
     return GroupCount[DispatchedPos];
+  }
+  unsigned group(unsigned DispatchedPos, ClassId C) const {
+    return GroupOf[DispatchedPos][C.value()];
   }
   size_t tableSize() const { return Table.size(); }
   /// Table cells an uncompressed class^n table would need.

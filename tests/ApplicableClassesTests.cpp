@@ -120,26 +120,88 @@ TEST(ApplicableClasses, DispatchedPositions) {
   EXPECT_TRUE(AC.dispatchedPositions(GQ).empty());
 }
 
-TEST(ApplicableClasses, ExactMatchesPointwiseOnSingleDispatch) {
-  // Force the pointwise fallback with a tiny tuple limit and compare with
-  // the exact enumeration on a singly-dispatched generic.
-  std::unique_ptr<Program> P = buildProgram({R"(
-    class A; class B isa A; class C isa B; class D isa A;
-    method m(x@A) { 1; }
-    method m(x@B) { 2; }
-    method m(x@D) { 3; }
-    method main(n@Int) { n; }
-  )"});
-  ASSERT_TRUE(P);
-  ApplicableClassesAnalysis Exact(*P);
-  ApplicableClassesAnalysis Fallback(*P, /*ExactTupleLimit=*/1);
+TEST(ApplicableClasses, MatchesBruteForceOnPaperPrograms) {
+  // Every generic of the Table 2 programs against the oracle that runs
+  // Program::dispatch on every class tuple.  compiler.mica's combineIf
+  // and compileApp dispatch on three positions (66^3 tuples); their
+  // general methods lose the one subclass a sibling method takes at
+  // position 0.
+  const struct {
+    const char *Name;
+    std::vector<std::string> Files;
+  } Cases[] = {
+      {"richards", {"richards.mica"}},
+      {"instsched", {"instsched.mica"}},
+      {"typechecker", {"minilang.mica", "typechecker.mica"}},
+      {"compiler", {"minilang.mica", "compiler.mica"}},
+  };
+  for (const auto &Case : Cases) {
+    std::string Err;
+    std::unique_ptr<Workbench> W = Workbench::fromFiles(Case.Files, Err);
+    ASSERT_TRUE(W) << Case.Name << ": " << Err;
+    const Program &P = W->program();
+    for (unsigned GI = 0; GI != P.numGenerics(); ++GI) {
+      const GenericId G(GI);
+      expectApplicableClassesAreOracle(
+          W->applicableClasses(), G,
+          std::string(Case.Name) + " " + P.Syms.name(P.generic(G).Name));
+    }
+    if (std::string(Case.Name) != "compiler")
+      continue;
+    for (const char *Label : {"combineIf(Exp,Exp,Exp)",
+                              "compileApp(Exp,Exp,Vector)"}) {
+      const std::vector<ClassSet> &Tuple =
+          W->applicableClasses().of(findMethod(P, Label));
+      EXPECT_EQ(Tuple[0].count(), 18u) << Label;
+      EXPECT_EQ(Tuple[0].count() + 1,
+                P.Classes.cone(P.Classes.lookup(P.Syms.find("Exp"))).count())
+          << Label;
+    }
+  }
+}
 
-  GenericId G = P->lookupGeneric(P->Syms.find("m"), 1);
-  EXPECT_FALSE(Exact.usedFallback(G));
-  EXPECT_TRUE(Fallback.usedFallback(G));
-  for (MethodId M : P->generic(G).Methods)
-    EXPECT_EQ(Exact.of(M)[0], Fallback.of(M)[0])
-        << "mismatch for " << P->methodLabel(M);
+TEST(ApplicableClasses, ExactPastSixtyFiveThousandTuples) {
+  // 258 classes under A put a generic dispatched on two positions past
+  // 65,536 class tuples.  g(B, A) takes every tuple whose first argument
+  // is B, so g(A, A) never sees B there, and a send whose arguments are
+  // exactly a B and an A has one possible target.
+  std::string Src = "class A; class B isa A;\n";
+  for (unsigned I = 0; I != 256; ++I)
+    Src += "class C" + std::to_string(I) + " isa A;\n";
+  Src += R"(
+    method g(x@A, y@A) { 1; }
+    method g(x@B, y@A) { 2; }
+    method main(n@Int) { print(g(new B, new A)); }
+  )";
+  std::unique_ptr<Program> P = buildProgram({Src});
+  ASSERT_TRUE(P);
+  const unsigned U = P->Classes.size();
+  ASSERT_GT(uint64_t(U) * U, uint64_t(1) << 16);
+  ApplicableClassesAnalysis AC(*P);
+  GenericId G = P->lookupGeneric(P->Syms.find("g"), 2);
+  EXPECT_EQ(AC.dispatchedPositions(G), (std::vector<unsigned>{0, 1}));
+
+  const ClassId A = P->Classes.lookup(P->Syms.find("A"));
+  const ClassId B = P->Classes.lookup(P->Syms.find("B"));
+  ClassSet ConeAWithoutB = P->Classes.cone(A);
+  ConeAWithoutB.remove(B);
+  MethodId GA = findMethod(*P, "g(A,A)");
+  MethodId GB = findMethod(*P, "g(B,A)");
+  EXPECT_EQ(AC.of(GA)[0], ConeAWithoutB);
+  EXPECT_EQ(AC.of(GA)[1], P->Classes.cone(A));
+  EXPECT_EQ(AC.of(GB)[0], namedSet(*P, {"B"}));
+  EXPECT_EQ(AC.of(GB)[1], P->Classes.cone(A));
+  expectApplicableClassesAreOracle(AC, G, "g");
+
+  const std::vector<ClassSet> Sends = {namedSet(*P, {"B"}),
+                                       namedSet(*P, {"A"})};
+  EXPECT_EQ(uniqueTarget(AC, G, Sends), GB);
+  // CHA binds that send, so the run dispatches nothing.
+  std::unique_ptr<CompiledProgram> CP = compileProgram(*P, Config::CHA);
+  std::string Out;
+  RunStats Stats = runMain(*CP, 1, &Out);
+  EXPECT_EQ(Out, "2\n");
+  EXPECT_EQ(Stats.DynamicDispatches, 0u);
 }
 
 TEST(StaticBinding, UniqueTargetRequiresOneIntersection) {

@@ -315,7 +315,7 @@ TEST(DispatchTable, CompressionSharesEquivalentRows) {
   ASSERT_TRUE(P);
   GenericId G = P->lookupGeneric(P->Syms.find("m"), 1);
   DispatchTable T(*P, G);
-  ASSERT_EQ(T.numDispatchedPositions(), 1u);
+  ASSERT_EQ(T.positions().size(), 1u);
   // Behaviors: {not an A}, {A-but-not-B: A,C,D,E}, {B}: three groups,
   // regardless of how many classes the universe holds.
   EXPECT_EQ(T.numGroups(0), 3u);

@@ -16,14 +16,15 @@
 /// synthesizer (determinism, single-interval cones, cross-config/tier
 /// output equality).  The same random DAGs drive a differential of the
 /// lazily built DispatchTables against Program::dispatch (answers and
-/// per-position group counts).  Tables built for a CompiledProgram carry
-/// the selected version in every cell: differentials against
-/// Program::dispatch + selectVersion over every Table 2 program and
-/// configuration and over random DAGs with synthesized version tuples,
-/// the uint16_t group-id overflow fallback, and interpreters over
-/// method-only or foreign tables matching the snapshot path.  Three
-/// eight-thread races check that a table is built and published once
-/// per generic.
+/// per-position group counts), and of CHA's ApplicableClasses, projected
+/// from the same cells, against a brute-force projection.  Tables built
+/// for a CompiledProgram carry the selected version in every cell:
+/// differentials against Program::dispatch + selectVersion over every
+/// Table 2 program and configuration and over random DAGs with
+/// synthesized version tuples, the uint16_t group-id overflow fallback,
+/// and interpreters over method-only or foreign tables matching the
+/// snapshot path.  Three eight-thread races check that a table is built
+/// and published once per generic.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -356,7 +357,7 @@ TEST(DispatchTableCapTest, JustUnderCapMaterializesJustOverFallsBack) {
   DispatchTable AtCap(*P, G, /*CellCap=*/16);
   EXPECT_TRUE(AtCap.materialized());
   EXPECT_EQ(AtCap.tableSize(), 16u);
-  EXPECT_EQ(AtCap.numDispatchedPositions(), 2u);
+  EXPECT_EQ(AtCap.positions().size(), 2u);
   EXPECT_EQ(AtCap.numGroups(0), 4u);
   EXPECT_EQ(AtCap.numGroups(1), 4u);
 
@@ -616,6 +617,7 @@ TEST(DispatchTablesTest, MatchesProgramDispatchOnRandomDags) {
     const ClassHierarchy &H = P->Classes;
     const unsigned U = H.size();
     DispatchTables Tables(*P);
+    ApplicableClassesAnalysis AC(*P);
 
     for (unsigned GI = 0; GI != std::size(RandomGenericArity); ++GI) {
       const unsigned Arity = RandomGenericArity[GI];
@@ -644,14 +646,19 @@ TEST(DispatchTablesTest, MatchesProgramDispatchOnRandomDags) {
                 H.isSubclassOf(ClassId(C), P->method(M).Specializers[Pos]));
           Patterns.insert(Pattern);
         }
-        ASSERT_LT(Dispatched, T.numDispatchedPositions());
+        ASSERT_LT(Dispatched, T.positions().size());
         EXPECT_EQ(T.numGroups(Dispatched), Patterns.size())
             << "seed " << Seed << " g" << GI << " position " << Pos;
         Cells *= Patterns.size();
         ++Dispatched;
       }
-      EXPECT_EQ(T.numDispatchedPositions(), Dispatched);
+      EXPECT_EQ(T.positions().size(), Dispatched);
       EXPECT_EQ(T.tableSize(), Cells);
+
+      // CHA's ApplicableClasses, projected from the same cells, equal the
+      // brute-force projection over every class tuple.
+      expectApplicableClassesAreOracle(
+          AC, G, "seed " + std::to_string(Seed) + " g" + std::to_string(GI));
 
       // Every class at arity 1; seeded tuples beyond that.
       if (Arity == 1) {
@@ -866,12 +873,12 @@ TEST(DispatchTableVersions, CellsMatchOracleOnRandomDagsWithSynthesizedVersions)
             Pattern.push_back(S->contains(ClassId(C)));
           Patterns.insert(Pattern);
         }
-        ASSERT_LT(Dispatched, T.numDispatchedPositions()) << Ctx;
+        ASSERT_LT(Dispatched, T.positions().size()) << Ctx;
         EXPECT_EQ(T.numGroups(Dispatched), Patterns.size())
             << Ctx << " position " << Pos;
         ++Dispatched;
       }
-      EXPECT_EQ(T.numDispatchedPositions(), Dispatched) << Ctx;
+      EXPECT_EQ(T.positions().size(), Dispatched) << Ctx;
       expectCellsAreOracle(Tables, *CP, G, R, Ctx);
     }
   }

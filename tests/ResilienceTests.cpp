@@ -284,13 +284,20 @@ TEST(Failpoint, FrameAcquireInjectionTrapsInternalError) {
   EXPECT_NE(I.trap().Message.find("interp.frame-acquire"), std::string::npos);
 }
 
+// CHA's ApplicableClasses are read from method-only tables, so an armed
+// failpoint degrades the analysis too: every method keeps its specializer
+// cones (a sound superset) and every generic its dispatched positions.
+// g's root tuple dispatches to g(Any), so a Cust build that saw no
+// dispatched positions would bind g(new B) to it and print 3, not 13.
 TEST(Failpoint, DispatchTableBuildInjectionDegradesToSearch) {
   FailpointGuard G;
   std::unique_ptr<Program> P = buildProgram({R"(
       class A; class B isa A;
       method f(x@A) { 1; }
       method f(x@B) { 2; }
-      method main(n@Int) { print(f(new B) + f(new A)); }
+      method g(x) { 0; }
+      method g(x@B) { 10; }
+      method main(n@Int) { print(f(new B) + f(new A) + g(new B)); }
   )"});
   ASSERT_TRUE(P);
   std::string Err;
@@ -298,17 +305,44 @@ TEST(Failpoint, DispatchTableBuildInjectionDegradesToSearch) {
   DispatchTables Degraded(*P);
   for (unsigned GI = 0; GI != P->numGenerics(); ++GI)
     Degraded.table(GenericId(GI)); // builds while armed
+  ApplicableClassesAnalysis ArmedAC(*P);
+  std::unique_ptr<CompiledProgram> ArmedCHA = compileProgram(*P, Config::CHA);
+  std::unique_ptr<CompiledProgram> ArmedCust =
+      compileProgram(*P, Config::Cust);
   failpoint::disarmAll();
   DispatchTables Normal(*P);
+  ApplicableClassesAnalysis AC(*P);
   // Degraded tables materialize nothing but answer identically through
   // the search-based fallback.
   for (unsigned GI = 0; GI != P->numGenerics(); ++GI) {
     const GenericInfo &Info = P->generic(GenericId(GI));
     EXPECT_FALSE(Degraded.table(GenericId(GI)).materialized());
     EXPECT_EQ(Degraded.table(GenericId(GI)).tableSize(), 0u);
+    EXPECT_EQ(Degraded.table(GenericId(GI)).positions(),
+              Normal.table(GenericId(GI)).positions());
     std::vector<ClassId> Args(Info.Arity, P->Classes.root());
     EXPECT_EQ(Degraded.dispatch(GenericId(GI), Args),
               Normal.dispatch(GenericId(GI), Args));
+    EXPECT_EQ(ArmedAC.dispatchedPositions(GenericId(GI)),
+              AC.dispatchedPositions(GenericId(GI)));
+  }
+  for (const char *Name : {"f", "g"}) {
+    GenericId Gen = P->lookupGeneric(P->Syms.find(Name), 1);
+    EXPECT_EQ(ArmedAC.dispatchedPositions(Gen), std::vector<unsigned>{0});
+    for (MethodId M : P->generic(Gen).Methods) {
+      const ClassSet Cone = P->Classes.cone(P->method(M).Specializers[0]);
+      EXPECT_EQ(ArmedAC.of(M)[0], Cone) << P->methodLabel(M);
+      EXPECT_TRUE(AC.of(M)[0].isSubsetOf(Cone)) << P->methodLabel(M);
+    }
+  }
+  // Programs compiled on the degraded analysis compute what the normal
+  // ones do.
+  for (CompiledProgram *CP : {ArmedCHA.get(), ArmedCust.get()}) {
+    std::string Armed, Unarmed;
+    runMain(*CP, 1, &Armed);
+    runMain(*compileProgram(*P, CP->configuration()), 1, &Unarmed);
+    EXPECT_EQ(Unarmed, "13\n");
+    EXPECT_EQ(Armed, Unarmed) << configName(CP->configuration());
   }
 }
 

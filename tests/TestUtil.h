@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -87,6 +88,73 @@ inline std::string runSource(const std::string &Source, Config C,
   std::string Out;
   runMain(*CP, Input, &Out);
   return Out;
+}
+
+/// Brute-force ApplicableClasses of \p G, the oracle for the analysis:
+/// every class tuple at the positions some method specializes goes
+/// through Program::dispatch, and the winner gains the tuple's classes
+/// there.  The other positions keep each method's specializer cones.
+/// Returns one tuple per method of \p G, in Methods order.
+inline std::vector<std::vector<ClassSet>>
+bruteForceApplicableClasses(const Program &P, GenericId G) {
+  const GenericInfo &Info = P.generic(G);
+  const unsigned U = P.Classes.size();
+  std::vector<unsigned> Pos;
+  for (unsigned I = 0; I != Info.Arity; ++I)
+    for (MethodId M : Info.Methods)
+      if (P.method(M).Specializers[I] != P.Classes.root()) {
+        Pos.push_back(I);
+        break;
+      }
+  std::vector<std::vector<ClassSet>> Out;
+  for (MethodId M : Info.Methods) {
+    std::vector<ClassSet> Tuple;
+    for (unsigned I = 0; I != Info.Arity; ++I)
+      Tuple.push_back(P.Classes.cone(P.method(M).Specializers[I]));
+    for (unsigned I : Pos)
+      Tuple[I] = ClassSet::empty(U);
+    Out.push_back(std::move(Tuple));
+  }
+  std::vector<ClassId> Args(Info.Arity, P.Classes.root());
+  std::vector<unsigned> Cursor(Pos.size(), 0);
+  for (;;) {
+    for (size_t I = 0; I != Pos.size(); ++I)
+      Args[Pos[I]] = ClassId(Cursor[I]);
+    const MethodId Winner = P.dispatch(G, Args);
+    if (Winner.isValid()) {
+      const size_t MI =
+          std::find(Info.Methods.begin(), Info.Methods.end(), Winner) -
+          Info.Methods.begin();
+      for (size_t I = 0; I != Pos.size(); ++I)
+        Out[MI][Pos[I]].insert(ClassId(Cursor[I]));
+    }
+    size_t K = 0;
+    while (K != Cursor.size() && ++Cursor[K] == U) {
+      Cursor[K] = 0;
+      ++K;
+    }
+    if (K == Cursor.size())
+      return Out;
+  }
+}
+
+/// Checks \p AC's tuples for \p G's methods against the brute-force
+/// oracle, position by position.
+inline void
+expectApplicableClassesAreOracle(const ApplicableClassesAnalysis &AC,
+                                 GenericId G, const std::string &Ctx) {
+  const Program &P = AC.program();
+  const std::vector<std::vector<ClassSet>> Oracle =
+      bruteForceApplicableClasses(P, G);
+  const std::vector<MethodId> &Methods = P.generic(G).Methods;
+  for (size_t MI = 0; MI != Methods.size(); ++MI)
+    for (size_t I = 0; I != Oracle[MI].size(); ++I) {
+      const ClassSet &Got = AC.of(Methods[MI])[I];
+      EXPECT_EQ(Got, Oracle[MI][I])
+          << Ctx << ": " << P.methodLabel(Methods[MI]) << " position " << I
+          << " analysis " << P.Classes.setToString(Got, P.Syms)
+          << " oracle " << P.Classes.setToString(Oracle[MI][I], P.Syms);
+    }
 }
 
 /// Asserts every RunStats field matches, NodeMix bucket by bucket.

@@ -219,12 +219,11 @@ void AdaptiveController::verdictLocked() {
     Incumbent = std::move(Cand);
     ++TheEpoch;
     // The whole "pause" an RCU promotion imposes on serving: one pointer
-    // assignment under StateM.  Measured so the bench can report its p99.
+    // assignment under StateM, summed into adaptive.swap_latency_ns.
     uint64_t SwapNs = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - T0)
             .count());
-    SwapLatencies.push_back(SwapNs);
     CtrSwapLatency.add(SwapNs);
     ++NumPromoted;
     CtrPromotions.add();
@@ -469,11 +468,6 @@ uint64_t AdaptiveController::decisions() const {
 uint64_t AdaptiveController::epoch() const {
   std::lock_guard<std::mutex> Lock(StateM);
   return TheEpoch;
-}
-
-std::vector<uint64_t> AdaptiveController::swapLatenciesNs() const {
-  std::lock_guard<std::mutex> Lock(StateM);
-  return SwapLatencies;
 }
 
 size_t AdaptiveController::liveProfileArcs() const {

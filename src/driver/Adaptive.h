@@ -51,7 +51,6 @@
 #include <string>
 #include <thread>
 #include <unordered_set>
-#include <vector>
 
 namespace selspec {
 
@@ -161,8 +160,6 @@ public:
   uint64_t decisions() const;
   /// Epoch increments on candidate install, promotion, and rollback.
   uint64_t epoch() const;
-  /// Nanoseconds each promotion's pointer swap held the state lock.
-  std::vector<uint64_t> swapLatenciesNs() const;
   /// Current merged live-profile arc count (tests).
   size_t liveProfileArcs() const;
 
@@ -222,7 +219,6 @@ private:
   uint64_t NumDecisions = 0;
   uint64_t LastBuiltHash = 0;
   std::unordered_set<uint64_t> BadProfiles;
-  std::vector<uint64_t> SwapLatencies;
   /// Snapshot displaced by the latest verdict, parked so its destructor
   /// (a whole compiled program) runs outside StateM — admit()/report()
   /// drain it after unlocking.

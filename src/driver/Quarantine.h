@@ -23,7 +23,7 @@
 /// poison input, and under overload they would quarantine everything.
 ///
 /// Thread-safe; shared by micad's thread-mode dispatch, its completion
-/// path, and `bench/load_serve --chaos`.
+/// path, and `bench/chaos_serve`.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -77,6 +77,9 @@ struct RunStats {
   uint64_t totalDispatches() const {
     return DynamicDispatches + VersionSelects;
   }
+
+  /// Every field, NodeMix included; a field added later joins by itself.
+  bool operator==(const RunStats &) const = default;
 };
 
 struct RunOptions {

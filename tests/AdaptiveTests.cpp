@@ -39,25 +39,6 @@ using namespace selspec::test;
 
 namespace {
 
-/// Full bitwise RunStats comparison, NodeMix included (the serving
-/// invariants promise identical counters, not merely identical output).
-bool statsEqual(const RunStats &A, const RunStats &B) {
-  return A.DynamicDispatches == B.DynamicDispatches &&
-         A.VersionSelects == B.VersionSelects &&
-         A.StaticCalls == B.StaticCalls && A.InlinePrims == B.InlinePrims &&
-         A.PredictedHits == B.PredictedHits &&
-         A.PredictedMisses == B.PredictedMisses &&
-         A.FeedbackHits == B.FeedbackHits &&
-         A.FeedbackMisses == B.FeedbackMisses &&
-         A.ClosuresCreated == B.ClosuresCreated &&
-         A.ClosureCalls == B.ClosureCalls &&
-         A.Allocations == B.Allocations &&
-         A.MethodInvocations == B.MethodInvocations &&
-         A.NodesEvaluated == B.NodesEvaluated &&
-         A.PeakDepth == B.PeakDepth && A.Cycles == B.Cycles &&
-         A.NodeMix == B.NodeMix;
-}
-
 /// Polymorphic workload: pick() launders the receiver class so area()
 /// stays a live dynamic dispatch and every run records arcs.
 const char *ServeSrc = R"(
@@ -178,7 +159,7 @@ TEST(AdaptiveArcs, CollectionIsExactAndInvisibleOnBothTiers) {
     EXPECT_GT(Sampled.Arcs.totalWeight(), 0u);
 
     // Profiling must be observationally free: identical stats and output.
-    EXPECT_TRUE(statsEqual(Plain.R.Run, Sampled.R.Run))
+    EXPECT_TRUE(Plain.R.Run == Sampled.R.Run)
         << "arc collection changed the run's RunStats";
     EXPECT_EQ(Plain.R.Output, Sampled.R.Output);
   }
@@ -205,7 +186,6 @@ TEST(AdaptiveVerdict, HealthyCandidatePromotes) {
   EXPECT_EQ(C.phase(), AdaptiveController::Phase::Stable);
   EXPECT_NE(C.incumbent().get(), Inc.get())
       << "promotion must install the candidate";
-  ASSERT_EQ(C.swapLatenciesNs().size(), 1u);
 
   // The promoted snapshot serves correctly.
   EXPECT_EQ(serveJobs(C, 4, 40), 4u);
@@ -234,7 +214,7 @@ TEST(AdaptiveVerdict, TrappingCandidateRollsBackAndIncumbentIsUntouched) {
   // The incumbent's behaviour is bit-identical across the whole episode.
   CompiledSnapshot::JobResult After = C.incumbent()->run(40);
   ASSERT_TRUE(After.Ok) << After.Error;
-  EXPECT_TRUE(statsEqual(Before.R.Run, After.R.Run));
+  EXPECT_TRUE(Before.R.Run == After.R.Run);
   EXPECT_EQ(Before.R.Output, After.R.Output);
 }
 

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "interp/RuntimeCore.h"
 #include "runtime/Frame.h"
 #include "runtime/Heap.h"
 #include "runtime/Value.h"
@@ -298,6 +299,22 @@ private:
 };
 
 } // namespace
+
+TEST(RunStats, EqualityComparesEveryField) {
+  RunStats A;
+  A.DynamicDispatches = 7;
+  A.Cycles = 100;
+  A.NodeMix[static_cast<size_t>(Expr::Kind::Send)] = 3;
+  RunStats B = A;
+  EXPECT_TRUE(A == B);
+
+  B.NodeMix[static_cast<size_t>(Expr::Kind::Send)] = 4;
+  EXPECT_FALSE(A == B) << "one NodeMix bucket differs";
+
+  B = A;
+  B.Cycles = 101;
+  EXPECT_FALSE(A == B) << "only Cycles differs";
+}
 
 TEST(Metrics, RegistryRoundTripsThroughJson) {
   metrics::Counter &C = metrics::named("test.metrics_roundtrip");

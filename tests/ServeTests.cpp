@@ -37,25 +37,6 @@ using namespace selspec::test;
 
 namespace {
 
-/// Full bitwise RunStats comparison, NodeMix included: the serving
-/// guarantee is *identical* counters, not merely identical output.
-bool statsEqual(const RunStats &A, const RunStats &B) {
-  return A.DynamicDispatches == B.DynamicDispatches &&
-         A.VersionSelects == B.VersionSelects &&
-         A.StaticCalls == B.StaticCalls && A.InlinePrims == B.InlinePrims &&
-         A.PredictedHits == B.PredictedHits &&
-         A.PredictedMisses == B.PredictedMisses &&
-         A.FeedbackHits == B.FeedbackHits &&
-         A.FeedbackMisses == B.FeedbackMisses &&
-         A.ClosuresCreated == B.ClosuresCreated &&
-         A.ClosureCalls == B.ClosureCalls &&
-         A.Allocations == B.Allocations &&
-         A.MethodInvocations == B.MethodInvocations &&
-         A.NodesEvaluated == B.NodesEvaluated &&
-         A.PeakDepth == B.PeakDepth && A.Cycles == B.Cycles &&
-         A.NodeMix == B.NodeMix;
-}
-
 struct BenchCase {
   const char *Name;
   std::vector<std::string> Files;
@@ -136,7 +117,7 @@ void runConcurrencyStress(ExecTier T) {
       const ServedUnit &U = Units[Idx];
       if (Cmp.Cancelled || !Cmp.Result.Ok)
         Problems.push_back(U.Label + ": job failed: " + Cmp.Result.Error);
-      else if (!statsEqual(Cmp.Result.R.Run, U.Ref))
+      else if (Cmp.Result.R.Run != U.Ref)
         Problems.push_back(U.Label + ": RunStats differ from the "
                                      "single-thread reference");
       else if (Cmp.Result.R.Output != U.RefOutput)

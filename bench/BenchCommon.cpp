@@ -35,8 +35,7 @@ namespace {
 
 /// Refusal helper: a trapped phase aborts the bench with the trap's kind
 /// name and faulting location, exiting with the trap's own code so a
-/// harness can tell a deadline (23) from a dispatch failure (11) from a
-/// plain diagnostic (1).
+/// harness can tell a dispatch failure (11) from a plain diagnostic (1).
 [[noreturn]] void refuse(const std::string &Name, const char *What,
                          const RuntimeTrap &T, const std::string &Err) {
   std::cerr << "error: " << What << ' ' << Name << ": " << Err << '\n';
@@ -89,28 +88,12 @@ std::string selspec::bench::gitDescribe() {
 SuiteResult selspec::bench::runSuiteProgram(const BenchProgram &Program,
                                             const std::vector<Config> &Configs,
                                             const SelectiveOptions &Sel) {
-  // SELSPEC_BENCH_DEADLINE_MS bounds each bench program end to end —
-  // profiling plus every measured config — so a wedged bench in CI dies
-  // with a structured exit 23 instead of a job timeout.
-  CancelToken Tok;
-  const CancelToken *Cancel = nullptr;
-  if (const char *Env = std::getenv("SELSPEC_BENCH_DEADLINE_MS")) {
-    int64_t Ms = std::atoll(Env);
-    if (Ms > 0) {
-      Tok.setDeadline(Deadline::afterMillis(Ms));
-      Cancel = &Tok;
-    }
-  }
-
   std::string Err;
-  std::unique_ptr<Workbench> W =
-      Workbench::fromFiles(Program.Files, Err, /*WithStdlib=*/true, Cancel);
+  std::unique_ptr<Workbench> W = Workbench::fromFiles(Program.Files, Err);
   if (!W) {
     std::cerr << "error: cannot load " << Program.Name << ": " << Err
               << '\n';
-    std::exit(Cancel && Cancel->stopRequested()
-                  ? trapExitCode(TrapKind::DeadlineExceeded)
-                  : 1);
+    std::exit(1);
   }
   if (!W->collectProfile(Program.TrainInput, Err))
     refuse(Program.Name, "profiling", W->lastTrap(), Err);

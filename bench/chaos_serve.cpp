@@ -201,8 +201,10 @@ int main() {
     });
 
     // Runs a quarantined job inline, outside the shared pool — degraded
-    // latency for the offender, zero exposure for everyone else.
-    auto RunQuarantined = [&](const ServedProgram &SP, bool Poison) {
+    // latency for the offender, zero exposure for everyone else.  A job
+    // that completes OK releases its source back to the pool.
+    auto RunQuarantined = [&](const ServedProgram &SP, const std::string &Key,
+                              bool Poison) {
       CompiledSnapshot::JobOptions JO;
       JO.CaptureOutput = false;
       if (Poison)
@@ -212,10 +214,12 @@ int main() {
       JO.Cancel = &Tok;
       CompiledSnapshot::JobResult JR = SP.Snapshot->run(SP.ServeInput, JO);
       ++Quarantined;
-      if (JR.Ok)
+      if (JR.Ok) {
         ++QuarOk;
-      else
+        Quar.release(Key);
+      } else {
         ++QuarTrap;
+      }
     };
 
     auto SubmitOne = [&](uint64_t I, bool Cooldown) {
@@ -223,7 +227,7 @@ int main() {
       bool Poison = !Cooldown && IsPoison(I);
       std::string Key = KeyFor(I, Cooldown);
       if (Quar.isQuarantined(Key)) {
-        RunQuarantined(SP, Poison);
+        RunQuarantined(SP, Key, Poison);
         return;
       }
       ServeEngine::Job J;

@@ -29,8 +29,8 @@
 /// sub-linear cone + table bytes) from the JSON in python.
 ///
 /// Environment: SELSPEC_HIERARCHY_SIZES (comma list, default
-/// "100,1000,10000"), SELSPEC_HIERARCHY_INPUT (spin iterations, default
-/// 20000), SELSPEC_HIERARCHY_LEAVES (k-way fanout, default 32).
+/// "100,1000,10000") and SELSPEC_HIERARCHY_REPS (default 3).  Every size
+/// runs 20000 spin iterations over 32-way call sites.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -113,10 +113,8 @@ int main() {
               "ROADMAP scaling item; cf. paper §3.5 dispatch tables");
 
   const std::vector<unsigned> Sizes = parseSizes();
-  const int64_t Input =
-      static_cast<int64_t>(envOr("SELSPEC_HIERARCHY_INPUT", 20000));
-  const unsigned Leaves =
-      static_cast<unsigned>(envOr("SELSPEC_HIERARCHY_LEAVES", 32));
+  const int64_t Input = 20000;
+  const unsigned Leaves = 32;
 
   // Build every size first: the timed runs below interleave the sizes.
   std::vector<SizeRow> Results;

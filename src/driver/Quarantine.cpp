@@ -6,20 +6,24 @@
 
 #include "driver/Quarantine.h"
 
+#include <algorithm>
+#include <iterator>
+
 using namespace selspec;
 
+namespace {
+
+/// The trap kinds that count toward quarantine (see the file comment).
+constexpr TrapKind QuarantiningKinds[] = {
+    TrapKind::NodeBudgetExceeded,   TrapKind::RecursionLimitExceeded,
+    TrapKind::HeapLimitExceeded,    TrapKind::MemoryBudgetExceeded,
+    TrapKind::BindingViolation,     TrapKind::InternalError};
+
+} // namespace
+
 bool CrashQuarantine::quarantines(TrapKind K) {
-  switch (K) {
-  case TrapKind::NodeBudgetExceeded:
-  case TrapKind::RecursionLimitExceeded:
-  case TrapKind::HeapLimitExceeded:
-  case TrapKind::MemoryBudgetExceeded:
-  case TrapKind::BindingViolation:
-  case TrapKind::InternalError:
-    return true;
-  default:
-    return false;
-  }
+  return std::find(std::begin(QuarantiningKinds), std::end(QuarantiningKinds),
+                   K) != std::end(QuarantiningKinds);
 }
 
 uint64_t CrashQuarantine::fingerprint(const std::string &SourceKey,
@@ -51,6 +55,13 @@ bool CrashQuarantine::recordTrap(const std::string &SourceKey, TrapKind K) {
     return false;
   Quarantined.insert(SourceKey);
   return true;
+}
+
+void CrashQuarantine::release(const std::string &SourceKey) {
+  std::lock_guard<std::mutex> Lock(M);
+  Quarantined.erase(SourceKey);
+  for (TrapKind K : QuarantiningKinds)
+    Offenses.erase(fingerprint(SourceKey, K));
 }
 
 bool CrashQuarantine::isQuarantined(const std::string &SourceKey) const {

@@ -12,7 +12,8 @@
 /// source is quarantined: micad reroutes its jobs to the fork-isolation
 /// path (and benches run them outside the shared pool), so one poison
 /// input can degrade its own latency but never monopolize or destabilize
-/// the pool everyone else shares.
+/// the pool everyone else shares.  A rerouted job that completes OK
+/// releases the source: its faults were transient, not a poison input.
 ///
 /// Only *guard* trap kinds quarantine (node budget, recursion, heap
 /// limit, memory budget) plus InternalError (which is how injected
@@ -60,6 +61,12 @@ public:
   /// this offense newly quarantined the source (callers log/count the
   /// transition once).  Non-quarantining kinds are ignored.
   bool recordTrap(const std::string &SourceKey, TrapKind K);
+
+  /// Lifts \p SourceKey's quarantine and forgets its offenses: called
+  /// when a rerouted job completes OK, so a source that saw transient
+  /// faults returns to the shared pool and must reach the threshold again
+  /// to be quarantined again.
+  void release(const std::string &SourceKey);
 
   /// Should jobs for \p SourceKey be rerouted out of the shared pool?
   bool isQuarantined(const std::string &SourceKey) const;

@@ -82,10 +82,8 @@ std::vector<Range> runSubtract(const std::vector<Range> &A,
 
 ClassSet ClassSet::all(unsigned UniverseSize) {
   ClassSet S(UniverseSize);
-  if (UniverseSize != 0) {
-    S.R = Rep::Interval;
+  if (UniverseSize != 0)
     S.Ranges.push_back({0, UniverseSize});
-  }
   return S;
 }
 
@@ -104,137 +102,93 @@ ClassSet ClassSet::fromRuns(unsigned UniverseSize, std::vector<Range> Runs) {
 bool ClassSet::contains(ClassId C) const {
   assert(C.isValid() && C.value() < Universe && "class out of universe");
   uint32_t V = C.value();
-  switch (R) {
-  case Rep::Dense:
+  if (R == Rep::Dense)
     return (Words[V / 64] >> (V % 64)) & 1;
-  case Rep::Sparse:
-    return std::binary_search(Elems.begin(), Elems.end(), V);
-  case Rep::Interval: {
-    auto It = std::upper_bound(
-        Ranges.begin(), Ranges.end(), V,
-        [](uint32_t Val, const Range &Rg) { return Val < Rg.Lo; });
-    return It != Ranges.begin() && V < (It - 1)->Hi;
-  }
-  }
-  return false;
+  auto It = std::upper_bound(
+      Ranges.begin(), Ranges.end(), V,
+      [](uint32_t Val, const Range &Rg) { return Val < Rg.Lo; });
+  return It != Ranges.begin() && V < (It - 1)->Hi;
 }
 
 void ClassSet::insert(ClassId C) {
   assert(C.isValid() && C.value() < Universe && "class out of universe");
   uint32_t V = C.value();
-  switch (R) {
-  case Rep::Dense:
+  if (R == Rep::Dense) {
     Words[V / 64] |= uint64_t(1) << (V % 64);
     return;
-  case Rep::Sparse: {
-    auto It = std::lower_bound(Elems.begin(), Elems.end(), V);
-    if (It != Elems.end() && *It == V)
-      return;
-    Elems.insert(It, V);
-    if (Elems.size() > sparseLimit(Universe))
-      becomeDense();
+  }
+  // First range whose Hi >= V: the only candidate that can contain V or
+  // be left-adjacent (every earlier range ends strictly before V).
+  auto It = std::lower_bound(
+      Ranges.begin(), Ranges.end(), V,
+      [](const Range &Rg, uint32_t Val) { return Rg.Hi < Val; });
+  if (It != Ranges.end() && It->Lo <= V && V < It->Hi)
+    return;
+  if (It != Ranges.end() && It->Hi == V) {
+    It->Hi = V + 1;
+    auto Next = It + 1;
+    if (Next != Ranges.end() && Next->Lo == It->Hi) {
+      It->Hi = Next->Hi;
+      Ranges.erase(Next);
+    }
     return;
   }
-  case Rep::Interval: {
-    // First range whose Hi >= V: the only candidate that can contain V or
-    // be left-adjacent (every earlier range ends strictly before V).
-    auto It = std::lower_bound(
-        Ranges.begin(), Ranges.end(), V,
-        [](const Range &Rg, uint32_t Val) { return Rg.Hi < Val; });
-    if (It != Ranges.end() && It->Lo <= V && V < It->Hi)
-      return;
-    if (It != Ranges.end() && It->Hi == V) {
-      It->Hi = V + 1;
-      auto Next = It + 1;
-      if (Next != Ranges.end() && Next->Lo == It->Hi) {
-        It->Hi = Next->Hi;
-        Ranges.erase(Next);
-      }
-      return;
-    }
-    if (It != Ranges.end() && It->Lo == V + 1) {
-      It->Lo = V;
-      return;
-    }
-    Ranges.insert(It, {V, V + 1});
-    if (Ranges.size() > IntervalMaxRanges)
-      adoptRuns(std::move(Ranges));
+  if (It != Ranges.end() && It->Lo == V + 1) {
+    It->Lo = V;
     return;
   }
-  }
+  Ranges.insert(It, {V, V + 1});
+  if (Ranges.size() > maxRanges(Universe))
+    adoptRuns(std::move(Ranges));
 }
 
 void ClassSet::remove(ClassId C) {
   assert(C.isValid() && C.value() < Universe && "class out of universe");
   uint32_t V = C.value();
-  switch (R) {
-  case Rep::Dense:
+  if (R == Rep::Dense) {
     Words[V / 64] &= ~(uint64_t(1) << (V % 64));
     return;
-  case Rep::Sparse: {
-    auto It = std::lower_bound(Elems.begin(), Elems.end(), V);
-    if (It != Elems.end() && *It == V)
-      Elems.erase(It);
+  }
+  auto It = std::lower_bound(
+      Ranges.begin(), Ranges.end(), V,
+      [](const Range &Rg, uint32_t Val) { return Rg.Hi <= Val; });
+  if (It == Ranges.end() || V < It->Lo)
+    return;
+  if (It->Lo == V) {
+    if (++It->Lo == It->Hi)
+      Ranges.erase(It);
     return;
   }
-  case Rep::Interval: {
-    auto It = std::lower_bound(
-        Ranges.begin(), Ranges.end(), V,
-        [](const Range &Rg, uint32_t Val) { return Rg.Hi <= Val; });
-    if (It == Ranges.end() || V < It->Lo)
-      return;
-    if (It->Lo == V) {
-      if (++It->Lo == It->Hi)
-        Ranges.erase(It);
-      return;
-    }
-    if (It->Hi == V + 1) {
-      --It->Hi;
-      return;
-    }
-    Range Right{V + 1, It->Hi};
-    It->Hi = V;
-    Ranges.insert(It + 1, Right);
-    if (Ranges.size() > IntervalMaxRanges)
-      adoptRuns(std::move(Ranges));
+  if (It->Hi == V + 1) {
+    --It->Hi;
     return;
   }
-  }
+  Range Right{V + 1, It->Hi};
+  It->Hi = V;
+  Ranges.insert(It + 1, Right);
+  if (Ranges.size() > maxRanges(Universe))
+    adoptRuns(std::move(Ranges));
 }
 
 bool ClassSet::isEmpty() const {
-  switch (R) {
-  case Rep::Dense:
-    for (uint64_t W : Words)
-      if (W != 0)
-        return false;
-    return true;
-  case Rep::Sparse:
-    return Elems.empty();
-  case Rep::Interval:
+  if (R == Rep::Interval)
     return Ranges.empty();
-  }
+  for (uint64_t W : Words)
+    if (W != 0)
+      return false;
   return true;
 }
 
 unsigned ClassSet::count() const {
-  switch (R) {
-  case Rep::Dense: {
-    unsigned N = 0;
+  unsigned N = 0;
+  if (R == Rep::Dense) {
     for (uint64_t W : Words)
       N += std::popcount(W);
     return N;
   }
-  case Rep::Sparse:
-    return static_cast<unsigned>(Elems.size());
-  case Rep::Interval: {
-    unsigned N = 0;
-    for (const Range &Rg : Ranges)
-      N += Rg.Hi - Rg.Lo;
-    return N;
-  }
-  }
-  return 0;
+  for (const Range &Rg : Ranges)
+    N += Rg.Hi - Rg.Lo;
+  return N;
 }
 
 bool ClassSet::isAll() const { return count() == Universe; }
@@ -246,7 +200,8 @@ ClassSet &ClassSet::operator&=(const ClassSet &RHS) {
       Words[I] &= RHS.Words[I];
     return *this;
   }
-  adoptRuns(runIntersect(runs(), RHS.runs()));
+  std::vector<Range> SA, SB;
+  adoptRuns(runIntersect(runView(SA), RHS.runView(SB)));
   return *this;
 }
 
@@ -257,12 +212,8 @@ ClassSet &ClassSet::operator|=(const ClassSet &RHS) {
       Words[I] |= RHS.Words[I];
     return *this;
   }
-  if (R == Rep::Dense && RHS.R == Rep::Sparse) {
-    for (uint32_t V : RHS.Elems)
-      Words[V / 64] |= uint64_t(1) << (V % 64);
-    return *this;
-  }
-  adoptRuns(runUnion(runs(), RHS.runs()));
+  std::vector<Range> SA, SB;
+  adoptRuns(runUnion(runView(SA), RHS.runView(SB)));
   return *this;
 }
 
@@ -273,29 +224,18 @@ ClassSet &ClassSet::subtract(const ClassSet &RHS) {
       Words[I] &= ~RHS.Words[I];
     return *this;
   }
-  if (R == Rep::Dense && RHS.R == Rep::Sparse) {
-    for (uint32_t V : RHS.Elems)
-      Words[V / 64] &= ~(uint64_t(1) << (V % 64));
-    return *this;
-  }
-  adoptRuns(runSubtract(runs(), RHS.runs()));
+  std::vector<Range> SA, SB;
+  adoptRuns(runSubtract(runView(SA), RHS.runView(SB)));
   return *this;
 }
 
 bool ClassSet::operator==(const ClassSet &RHS) const {
   if (Universe != RHS.Universe)
     return false;
-  if (R == RHS.R) {
-    switch (R) {
-    case Rep::Dense:
-      return Words == RHS.Words;
-    case Rep::Sparse:
-      return Elems == RHS.Elems;
-    case Rep::Interval:
-      return Ranges == RHS.Ranges;
-    }
-  }
-  return runs() == RHS.runs();
+  if (R == Rep::Dense && RHS.R == Rep::Dense)
+    return Words == RHS.Words;
+  std::vector<Range> SA, SB;
+  return runView(SA) == RHS.runView(SB);
 }
 
 bool ClassSet::isSubsetOf(const ClassSet &RHS) const {
@@ -306,15 +246,10 @@ bool ClassSet::isSubsetOf(const ClassSet &RHS) const {
         return false;
     return true;
   }
-  if (R == Rep::Sparse) {
-    for (uint32_t V : Elems)
-      if (!RHS.contains(ClassId(V)))
-        return false;
-    return true;
-  }
   // Each of our runs must fit inside a single run of RHS (RHS runs are
   // maximal, so a covered run cannot straddle two of them).
-  std::vector<Range> AR = runs(), BR = RHS.runs();
+  std::vector<Range> SA, SB;
+  const std::vector<Range> &AR = runView(SA), &BR = RHS.runView(SB);
   size_t J = 0;
   for (const Range &RA : AR) {
     while (J != BR.size() && BR[J].Hi <= RA.Lo)
@@ -333,15 +268,8 @@ bool ClassSet::intersects(const ClassSet &RHS) const {
         return true;
     return false;
   }
-  if (R == Rep::Sparse) {
-    for (uint32_t V : Elems)
-      if (RHS.contains(ClassId(V)))
-        return true;
-    return false;
-  }
-  if (RHS.R == Rep::Sparse)
-    return RHS.intersects(*this);
-  std::vector<Range> AR = runs(), BR = RHS.runs();
+  std::vector<Range> SA, SB;
+  const std::vector<Range> &AR = runView(SA), &BR = RHS.runView(SB);
   size_t I = 0, J = 0;
   while (I != AR.size() && J != BR.size()) {
     if (AR[I].Hi <= BR[J].Lo)
@@ -357,51 +285,24 @@ bool ClassSet::intersects(const ClassSet &RHS) const {
 std::vector<ClassId> ClassSet::members() const {
   std::vector<ClassId> Out;
   Out.reserve(count());
-  switch (R) {
-  case Rep::Dense:
-    for (size_t WI = 0, E = Words.size(); WI != E; ++WI) {
-      uint64_t W = Words[WI];
-      while (W != 0) {
-        Out.push_back(ClassId(static_cast<uint32_t>(WI * 64) +
-                              static_cast<uint32_t>(std::countr_zero(W))));
-        W &= W - 1;
-      }
-    }
-    break;
-  case Rep::Sparse:
-    for (uint32_t V : Elems)
+  std::vector<Range> Scratch;
+  for (const Range &Rg : runView(Scratch))
+    for (uint32_t V = Rg.Lo; V != Rg.Hi; ++V)
       Out.push_back(ClassId(V));
-    break;
-  case Rep::Interval:
-    for (const Range &Rg : Ranges)
-      for (uint32_t V = Rg.Lo; V != Rg.Hi; ++V)
-        Out.push_back(ClassId(V));
-    break;
-  }
   return Out;
 }
 
 ClassId ClassSet::getSingleElement() const {
   if (count() != 1)
     return ClassId();
-  switch (R) {
-  case Rep::Dense:
-    for (size_t WI = 0, E = Words.size(); WI != E; ++WI)
-      if (Words[WI] != 0)
-        return ClassId(static_cast<uint32_t>(WI * 64) +
-                       static_cast<uint32_t>(std::countr_zero(Words[WI])));
-    break;
-  case Rep::Sparse:
-    return ClassId(Elems.front());
-  case Rep::Interval:
-    return ClassId(Ranges.front().Lo);
-  }
-  return ClassId();
+  std::vector<Range> Scratch;
+  return ClassId(runView(Scratch).front().Lo);
 }
 
 size_t ClassSet::hashValue() const {
   size_t H = Universe;
-  for (const Range &Rg : runs()) {
+  std::vector<Range> Scratch;
+  for (const Range &Rg : runView(Scratch)) {
     H = H * 1000003u + Rg.Lo;
     H = H * 1000003u + Rg.Hi;
   }
@@ -409,117 +310,64 @@ size_t ClassSet::hashValue() const {
 }
 
 std::vector<ClassSet::Range> ClassSet::runs() const {
+  if (R == Rep::Interval)
+    return Ranges;
   std::vector<Range> Out;
-  switch (R) {
-  case Rep::Dense:
-    for (size_t WI = 0, E = Words.size(); WI != E; ++WI) {
-      uint64_t W = Words[WI];
-      while (W != 0) {
-        uint32_t B = static_cast<uint32_t>(WI * 64) +
-                     static_cast<uint32_t>(std::countr_zero(W));
-        W &= W - 1;
-        if (!Out.empty() && Out.back().Hi == B)
-          Out.back().Hi = B + 1;
-        else
-          Out.push_back({B, B + 1});
-      }
-    }
-    break;
-  case Rep::Sparse:
-    for (uint32_t V : Elems) {
-      if (!Out.empty() && Out.back().Hi == V)
-        Out.back().Hi = V + 1;
-      else
-        Out.push_back({V, V + 1});
-    }
-    break;
-  case Rep::Interval:
-    Out = Ranges;
-    break;
-  }
+  runView(Out);
   return Out;
 }
 
-size_t ClassSet::memoryBytes() const {
-  switch (R) {
-  case Rep::Dense:
-    return Words.size() * sizeof(uint64_t);
-  case Rep::Sparse:
-    return Elems.size() * sizeof(uint32_t);
-  case Rep::Interval:
-    return Ranges.size() * sizeof(Range);
+const std::vector<ClassSet::Range> &
+ClassSet::runView(std::vector<Range> &Scratch) const {
+  if (R == Rep::Interval)
+    return Ranges;
+  for (size_t WI = 0, E = Words.size(); WI != E; ++WI) {
+    uint64_t W = Words[WI];
+    while (W != 0) {
+      uint32_t B = static_cast<uint32_t>(WI * 64) +
+                   static_cast<uint32_t>(std::countr_zero(W));
+      W &= W - 1;
+      if (!Scratch.empty() && Scratch.back().Hi == B)
+        Scratch.back().Hi = B + 1;
+      else
+        Scratch.push_back({B, B + 1});
+    }
   }
-  return 0;
+  return Scratch;
 }
 
-void ClassSet::becomeDense() {
-  std::vector<Range> Runs = runs();
-  Words.assign((Universe + 63) / 64, 0);
-  for (const Range &Rg : Runs)
-    for (uint32_t V = Rg.Lo; V != Rg.Hi; ++V)
-      Words[V / 64] |= uint64_t(1) << (V % 64);
-  Elems.clear();
-  Elems.shrink_to_fit();
-  Ranges.clear();
-  Ranges.shrink_to_fit();
-  R = Rep::Dense;
+size_t ClassSet::memoryBytes() const {
+  return R == Rep::Dense ? Words.size() * sizeof(uint64_t)
+                         : Ranges.size() * sizeof(Range);
 }
 
 void ClassSet::adoptRuns(std::vector<Range> Runs) {
-  size_t NumMembers = 0;
-  for (const Range &Rg : Runs)
-    NumMembers += Rg.Hi - Rg.Lo;
+  if (Runs.size() > maxRanges(Universe))
+    assignDense(Runs);
+  else
+    assignIntervals(std::move(Runs));
+}
+
+void ClassSet::assignIntervals(std::vector<Range> Runs) {
+  R = Rep::Interval;
   Words.clear();
-  Elems.clear();
-  Ranges.clear();
-  if (Runs.empty()) {
-    R = Rep::Sparse;
-    return;
-  }
-  if (Runs.size() <= IntervalMaxRanges) {
-    R = Rep::Interval;
-    Ranges = std::move(Runs);
-    return;
-  }
-  if (NumMembers <= sparseLimit(Universe)) {
-    R = Rep::Sparse;
-    Elems.reserve(NumMembers);
-    for (const Range &Rg : Runs)
-      for (uint32_t V = Rg.Lo; V != Rg.Hi; ++V)
-        Elems.push_back(V);
-    return;
-  }
+  Ranges = std::move(Runs);
+}
+
+void ClassSet::assignDense(const std::vector<Range> &Runs) {
   R = Rep::Dense;
   Words.assign((Universe + 63) / 64, 0);
   for (const Range &Rg : Runs)
     for (uint32_t V = Rg.Lo; V != Rg.Hi; ++V)
       Words[V / 64] |= uint64_t(1) << (V % 64);
+  Ranges.clear();
 }
 
 void ClassSet::convertToRepForTesting(Rep Target) {
-  if (Target == R)
-    return;
-  std::vector<Range> Runs = runs();
-  Words.clear();
-  Elems.clear();
-  Ranges.clear();
-  R = Target;
-  switch (Target) {
-  case Rep::Dense:
-    Words.assign((Universe + 63) / 64, 0);
-    for (const Range &Rg : Runs)
-      for (uint32_t V = Rg.Lo; V != Rg.Hi; ++V)
-        Words[V / 64] |= uint64_t(1) << (V % 64);
-    break;
-  case Rep::Sparse:
-    for (const Range &Rg : Runs)
-      for (uint32_t V = Rg.Lo; V != Rg.Hi; ++V)
-        Elems.push_back(V);
-    break;
-  case Rep::Interval:
-    Ranges = std::move(Runs);
-    break;
-  }
+  if (Target == Rep::Dense)
+    assignDense(runs());
+  else
+    assignIntervals(runs());
 }
 
 std::string ClassSet::toString() const {

@@ -9,18 +9,17 @@
 /// paper describes every specialization as "a tuple of class sets, one class
 /// set per formal argument".
 ///
-/// The representation is hybrid, chosen automatically by density so that a
-/// 10k-class universe does not cost O(universe/8) bytes per set:
+/// The representation is hybrid, chosen automatically so that a 10k-class
+/// universe does not cost O(universe/8) bytes per set:
 ///
-///   - Sparse:   a sorted vector of member ids.  The default for small sets
-///     (an empty set allocates nothing); escalates to Dense past
-///     max(4, universe/32) members.
 ///   - Interval: a sorted vector of disjoint, non-adjacent half-open
-///     [Lo, Hi) ranges.  Cones under DFS preorder numbering and the full
-///     universe are one or a few ranges regardless of class count.
-///   - Dense:    the classic bit vector over ClassIds, used once a set is
-///     genuinely dense; word-parallel fast paths kick in when both operands
-///     are Dense.
+///     [Lo, Hi) ranges.  The default: the empty set allocates nothing, and
+///     cones under DFS preorder numbering, the full universe and small sets
+///     are one or a few ranges regardless of class count.
+///   - Dense:    the classic bit vector over ClassIds, used once a set needs
+///     more than max(8, universe/64) ranges (past that the 8-byte ranges
+///     outweigh the universe/8-byte vector); word-parallel fast paths kick
+///     in when both operands are Dense.
 ///
 /// All observable behavior — members(), operator==, hashValue(), every set
 /// operation — is representation-independent; the representation is a pure
@@ -46,7 +45,7 @@ namespace selspec {
 /// size (they come from the same ClassHierarchy).
 class ClassSet {
 public:
-  enum class Rep : uint8_t { Dense, Sparse, Interval };
+  enum class Rep : uint8_t { Dense, Interval };
 
   /// Half-open id range [Lo, Hi); the unit of the Interval representation
   /// and of the canonical "run list" every representation can produce.
@@ -59,7 +58,7 @@ public:
   ClassSet() = default;
 
   /// Creates an empty set over a universe of \p UniverseSize classes.
-  /// Starts Sparse, so it allocates nothing until elements arrive.
+  /// An empty range list, so it allocates nothing until elements arrive.
   explicit ClassSet(unsigned UniverseSize) : Universe(UniverseSize) {}
 
   /// Returns the empty set over \p UniverseSize classes.
@@ -102,7 +101,7 @@ public:
   friend ClassSet operator|(ClassSet A, const ClassSet &B) { return A |= B; }
 
   /// Representation-independent equality: {0,1,2} compares equal whether it
-  /// is stored as words, members, or the range [0,3).
+  /// is stored as words or as the range [0,3).
   bool operator==(const ClassSet &RHS) const;
   bool operator!=(const ClassSet &RHS) const { return !(*this == RHS); }
 
@@ -144,22 +143,23 @@ public:
   std::string toString() const;
 
 private:
-  /// Members-per-set bound below which Sparse is preferred over Dense.
-  static unsigned sparseLimit(unsigned Universe) {
-    return Universe / 32 < 4 ? 4 : Universe / 32;
+  /// Ranges an Interval set may hold before it becomes Dense.
+  static size_t maxRanges(unsigned Universe) {
+    return Universe / 64 < 8 ? 8 : Universe / 64;
   }
-  /// Run-count bound below which Interval is preferred.
-  static constexpr size_t IntervalMaxRanges = 8;
 
-  void becomeDense();
+  /// The canonical run list read in place: Ranges when Interval, else
+  /// \p Scratch filled from the bit vector.
+  const std::vector<Range> &runView(std::vector<Range> &Scratch) const;
+  /// Stores \p Runs as Interval, or as Dense past maxRanges.
   void adoptRuns(std::vector<Range> Runs);
+  void assignIntervals(std::vector<Range> Runs);
+  void assignDense(const std::vector<Range> &Runs);
 
   /// Active representation; exactly one of the vectors below is in use.
-  Rep R = Rep::Sparse;
+  Rep R = Rep::Interval;
   /// Dense: bit vector, (Universe+63)/64 words, tail bits always clear.
   std::vector<uint64_t> Words;
-  /// Sparse: sorted unique member ids.
-  std::vector<uint32_t> Elems;
   /// Interval: canonical run list (sorted, disjoint, non-adjacent).
   std::vector<Range> Ranges;
   unsigned Universe = 0;

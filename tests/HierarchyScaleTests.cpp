@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Tests for the hierarchy-axis scaling work: the hybrid ClassSet
-/// representations (differential against a std::set model, all three
+/// representations (differential against a std::set model, both
 /// representations forced through the test hook), interval cones against
 /// a transitive-closure reference over randomized DAGs, the
 /// DispatchTable cell-cap regression (just-over-cap must fall back while
@@ -58,7 +58,6 @@ namespace {
 //===----------------------------------------------------------------------===//
 
 constexpr ClassSet::Rep AllReps[] = {ClassSet::Rep::Dense,
-                                     ClassSet::Rep::Sparse,
                                      ClassSet::Rep::Interval};
 
 /// Checks every observable of \p S against the model \p M, including that
@@ -203,7 +202,7 @@ TEST(HybridClassSetTest, DifferentialAgainstModel) {
         // Force a random representation mid-sequence: the value must be
         // unaffected and later ops must keep agreeing with the model.
         ClassSet &Target = R.chance(50) ? A : B;
-        Target.convertToRepForTesting(AllReps[R.below(3)]);
+        Target.convertToRepForTesting(AllReps[R.below(2)]);
         break;
       }
       }
@@ -238,9 +237,9 @@ TEST(HybridClassSetTest, EqualityAndHashAcrossRepresentations) {
 }
 
 TEST(HybridClassSetTest, RepresentationAutoSelection) {
-  // Empty sets allocate nothing and stay Sparse.
+  // Empty sets are an empty range list and allocate nothing.
   ClassSet Empty(10000);
-  EXPECT_EQ(Empty.representation(), ClassSet::Rep::Sparse);
+  EXPECT_EQ(Empty.representation(), ClassSet::Rep::Interval);
   EXPECT_EQ(Empty.memoryBytes(), 0u);
 
   // The universe is one interval regardless of size.
@@ -249,12 +248,28 @@ TEST(HybridClassSetTest, RepresentationAutoSelection) {
   EXPECT_TRUE(All.isAll());
   EXPECT_LE(All.memoryBytes(), 64u);
 
-  // A dense scatter over a large universe escalates to Dense.
+  // At U=10000 a set stays Interval up to 10000/64 = 156 ranges; the
+  // 157th escalates it to Dense, and intersecting with one cone brings it
+  // back to a range list.
   ClassSet Scatter(10000);
-  for (uint32_t V = 0; V < 10000; V += 2)
-    Scatter.insert(ClassId(V));
+  for (uint32_t I = 0; I != 156; ++I)
+    Scatter.insert(ClassId(2 * I));
+  EXPECT_EQ(Scatter.representation(), ClassSet::Rep::Interval);
+  EXPECT_EQ(Scatter.memoryBytes(), 156 * sizeof(ClassSet::Range));
+  Scatter.insert(ClassId(2 * 156));
   EXPECT_EQ(Scatter.representation(), ClassSet::Rep::Dense);
-  EXPECT_EQ(Scatter.count(), 5000u);
+  EXPECT_EQ(Scatter.count(), 157u);
+  Scatter &= ClassSet::fromRuns(10000, {{0, 10}});
+  EXPECT_EQ(Scatter.representation(), ClassSet::Rep::Interval);
+  EXPECT_EQ(Scatter.count(), 5u);
+
+  // Below U=512 the bound is 8 ranges.
+  ClassSet Small(100);
+  for (uint32_t I = 0; I != 8; ++I)
+    Small.insert(ClassId(2 * I));
+  EXPECT_EQ(Small.representation(), ClassSet::Rep::Interval);
+  Small.insert(ClassId(16));
+  EXPECT_EQ(Small.representation(), ClassSet::Rep::Dense);
 }
 
 //===----------------------------------------------------------------------===//

@@ -277,6 +277,26 @@ TEST(Quarantine, ThresholdIsConfigurable) {
   EXPECT_TRUE(Q.isQuarantined("a.mica"));
 }
 
+TEST(Quarantine, ReleaseForgetsOffensesUntilTheThresholdAgain) {
+  CrashQuarantine Q;
+  EXPECT_FALSE(Q.recordTrap("a.mica", TrapKind::InternalError));
+  EXPECT_TRUE(Q.recordTrap("a.mica", TrapKind::InternalError));
+  EXPECT_FALSE(Q.recordTrap("b.mica", TrapKind::InternalError));
+  EXPECT_TRUE(Q.isQuarantined("a.mica"));
+
+  Q.release("a.mica");
+  EXPECT_FALSE(Q.isQuarantined("a.mica"));
+  EXPECT_EQ(Q.numQuarantined(), 0u);
+  // The offense counts went with the quarantine: one more trap is a first
+  // offense again, and only the repeat re-quarantines.
+  EXPECT_FALSE(Q.recordTrap("a.mica", TrapKind::InternalError));
+  EXPECT_FALSE(Q.isQuarantined("a.mica"));
+  EXPECT_TRUE(Q.recordTrap("a.mica", TrapKind::InternalError));
+  EXPECT_TRUE(Q.isQuarantined("a.mica"));
+  // Other sources keep their counts.
+  EXPECT_TRUE(Q.recordTrap("b.mica", TrapKind::InternalError));
+}
+
 //===----------------------------------------------------------------------===//
 // Failpoint configuration diagnostics
 //===----------------------------------------------------------------------===//

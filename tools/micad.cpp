@@ -98,7 +98,8 @@
 /// source whose jobs repeatedly trap on resource guards or injected
 /// faults is quarantined (driver/Quarantine.h): its later jobs reroute to
 /// the crash-proof fork path (counted by serve.quarantined) so one poison
-/// input cannot destabilize the shared pool.
+/// input cannot destabilize the shared pool; the first rerouted job that
+/// completes OK returns the source to the pool.
 ///
 /// Options:
 ///   --default-deadline-ms N   deadline for jobs that set none   [10000]
@@ -566,8 +567,9 @@ void emitResult(const Job &J, const std::string &Outcome, int Attempts,
   std::cout << "}" << std::endl;
 }
 
-/// Runs one job to a final outcome, retrying transient failures.
-void runJob(Job J, const ServerOptions &O, size_t LineNo) {
+/// Runs one job to a final outcome, retrying transient failures.  Returns
+/// true when the outcome is ok or retried(n).
+bool runJob(Job J, const ServerOptions &O, size_t LineNo) {
   if (J.Id.empty())
     J.Id = "line-" + std::to_string(LineNo);
   if (J.DeadlineMs < 0)
@@ -594,7 +596,7 @@ void runJob(Job J, const ServerOptions &O, size_t LineNo) {
                         ? "ok"
                         : "retried(" + std::to_string(Attempts - 1) + ")",
                  Attempts, Last);
-      return;
+      return true;
     }
     if (!Last.retryable() || Attempts > J.Retries)
       break;
@@ -623,6 +625,7 @@ void runJob(Job J, const ServerOptions &O, size_t LineNo) {
     break;
   }
   emitResult(J, Outcome, Attempts, Last);
+  return false;
 }
 
 /// Renders a job's per-counter metrics delta as a compact JSON object,
@@ -667,10 +670,13 @@ public:
     // Crash quarantine: a source whose jobs repeatedly trapped on guards
     // or injected faults reroutes to fork isolation, exactly like inject=
     // jobs — its failure mode is proven, so it pays for its own isolation
-    // instead of sharing the pool.  runJob re-applies the defaults.
+    // instead of sharing the pool.  runJob re-applies the defaults.  A
+    // rerouted job that completes OK releases the source back to the pool.
     if (Quar.isQuarantined(J.Src)) {
       CtrQuarantined.add();
-      runJob(std::move(J), O, LineNo);
+      std::string Src = J.Src;
+      if (runJob(std::move(J), O, LineNo))
+        Quar.release(Src);
       return;
     }
     if (J.Id.empty())

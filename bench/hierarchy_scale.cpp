@@ -21,7 +21,9 @@
 ///     ns/op;
 ///   - cone memory: the hierarchy's interval index plus materialized
 ///     hybrid cone sets, against the N * N/8-byte dense baseline;
-///   - program build (parse -> resolve -> analyses) wall time.
+///   - program build (parse -> resolve -> analyses) wall time, and the
+///     operator-new calls one build and tear-down makes (`build_allocs`,
+///     the deterministic companion of the build time).
 ///
 /// Output: stdout table plus BENCH_hierarchy_scale.json (gitignored, with
 /// the counter registry embedded).  The CI smoke and the nightly 10k-ASan
@@ -40,18 +42,42 @@
 #include "runtime/DispatchTable.h"
 #include "support/Metrics.h"
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
 using namespace selspec;
 using namespace selspec::bench;
+
+/// Every operator-new call in the process, for `build_allocs`.  The
+/// throwing and the nothrow form (std::stable_sort's buffer) are replaced
+/// together, so every pointer the replaced deletes get is malloc's, also
+/// under AddressSanitizer.
+static std::atomic<uint64_t> NewCalls{0};
+
+void *operator new(size_t Size, const std::nothrow_t &) noexcept {
+  NewCalls.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(Size ? Size : 1);
+}
+void *operator new(size_t Size) {
+  if (void *P = operator new(Size, std::nothrow))
+    return P;
+  throw std::bad_alloc();
+}
+// Not inlined: inlined into a container's destructor, the free() of memory
+// from the (builtin) operator new draws a mismatched-new-delete warning.
+[[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete(void *P, size_t) noexcept {
+  std::free(P);
+}
 
 namespace {
 
@@ -94,6 +120,8 @@ struct SizeRow {
   unsigned Universe = 0; ///< hierarchy size incl. builtins
   unsigned MethodLeaves = 0;
   uint64_t BuildNanos = 0;
+  /// operator-new calls of one Workbench build and its tear-down.
+  uint64_t BuildAllocs = 0;
   size_t ConeIndexBytes = 0;
   size_t ConeSetBytes = 0;
   size_t DenseConeBytes = 0;
@@ -129,8 +157,12 @@ int main() {
     Spec.Seed = 20260808;
     std::string Source = fuzz::generateHierarchyProgram(Spec);
 
-    uint64_t T0 = nowNs();
     std::string Err;
+    const uint64_t Calls0 = NewCalls.load();
+    Workbench::fromSources({Source}, Err, /*WithStdlib=*/false).reset();
+    const uint64_t BuildAllocs = NewCalls.load() - Calls0;
+
+    uint64_t T0 = nowNs();
     auto WB = Workbench::fromSources({Source}, Err, /*WithStdlib=*/false);
     uint64_t BuildNanos = nowNs() - T0;
     if (!WB) {
@@ -152,6 +184,7 @@ int main() {
     Row.Universe = H.size();
     Row.MethodLeaves = Leaves;
     Row.BuildNanos = BuildNanos;
+    Row.BuildAllocs = BuildAllocs;
     Row.ConeIndexBytes = H.coneIndexBytes();
     for (unsigned I = 0; I != H.size(); ++I) {
       Row.ConeSetBytes += H.cone(ClassId(I)).memoryBytes();
@@ -249,7 +282,8 @@ int main() {
       CR.NsPerDispatch = double(CR.WallNanos) /
                          double(CR.Dispatches == 0 ? 1 : CR.Dispatches);
     std::cout << "classes=" << Row.Universe << " build_ms="
-              << Row.BuildNanos / 1000000 << " cone_bytes="
+              << Row.BuildNanos / 1000000
+              << " build_allocs=" << Row.BuildAllocs << " cone_bytes="
               << (Row.ConeIndexBytes + Row.ConeSetBytes) << " (dense "
               << Row.DenseConeBytes << ") table_cells=" << Row.TableCells
               << " (uncompressed " << Row.TableUncompressedCells
@@ -276,6 +310,7 @@ int main() {
        << ",\n      \"universe\": " << Row.Universe
        << ",\n      \"method_leaves\": " << Row.MethodLeaves
        << ",\n      \"build_ns\": " << Row.BuildNanos
+       << ",\n      \"build_allocs\": " << Row.BuildAllocs
        << ",\n      \"cone_index_bytes\": " << Row.ConeIndexBytes
        << ",\n      \"cone_set_bytes\": " << Row.ConeSetBytes
        << ",\n      \"dense_cone_bytes\": " << Row.DenseConeBytes

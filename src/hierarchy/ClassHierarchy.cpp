@@ -16,38 +16,63 @@
 using namespace selspec;
 
 ClassId ClassHierarchy::addClass(Symbol Name,
-                                 const std::vector<ClassId> &Parents,
-                                 std::vector<Symbol> OwnSlots) {
-  if (ByName.count(Name))
+                                 std::span<const ClassId> Parents,
+                                 std::span<const Symbol> OwnSlots) {
+  if (lookup(Name).isValid())
     return ClassId();
   ClassId Id(static_cast<uint32_t>(Classes.size()));
-  ClassInfo Info;
-  Info.Name = Name;
-  Info.OwnSlots = std::move(OwnSlots);
-  if (Parents.empty()) {
-    // Only the root may be parentless; others implicitly subclass Any.
-    if (Id != ClassId(0))
-      Info.Parents.push_back(ClassId(0));
-  } else {
-    Info.Parents = Parents;
-  }
-  for (ClassId P : Info.Parents) {
+  // Only the root may be parentless; others implicitly subclass Any.
+  if (Parents.empty() && Id != ClassId(0))
+    ParentPool.push_back(ClassId(0));
+  for (ClassId P : Parents) {
     assert(P.isValid() && P.value() < Classes.size() && "unknown parent");
-    Classes[P.value()].Children.push_back(Id);
+    ParentPool.push_back(P);
   }
-  Classes.push_back(std::move(Info));
-  ByName.emplace(Name, Id);
+  ParentBegin.push_back(static_cast<uint32_t>(ParentPool.size()));
+  OwnSlotPool.insert(OwnSlotPool.end(), OwnSlots.begin(), OwnSlots.end());
+  OwnSlotBegin.push_back(static_cast<uint32_t>(OwnSlotPool.size()));
+  Classes.push_back(ClassInfo{Name, {}, {}, {}, {}});
+  if (ByName.size() <= Name.value())
+    ByName.resize(Name.value() + 1);
+  ByName[Name.value()] = Id;
   Finalized = false;
   return Id;
 }
 
 ClassId ClassHierarchy::lookup(Symbol Name) const {
-  auto It = ByName.find(Name);
-  return It == ByName.end() ? ClassId() : It->second;
+  return Name.value() < ByName.size() ? ByName[Name.value()] : ClassId();
 }
 
 void ClassHierarchy::finalize() {
   unsigned N = size();
+  // One scratch index vector serves the child and layout pools in turn.
+  std::vector<uint32_t> Begin(N + 1, 0);
+
+  for (unsigned I = 0; I != N; ++I) {
+    ClassInfo &Info = Classes[I];
+    Info.Parents = {ParentPool.data() + ParentBegin[I],
+                    ParentBegin[I + 1] - ParentBegin[I]};
+    Info.OwnSlots = {OwnSlotPool.data() + OwnSlotBegin[I],
+                     OwnSlotBegin[I + 1] - OwnSlotBegin[I]};
+  }
+
+  // Children, grouped by parent: a counting sort of the (parent, child)
+  // edges.  Scanning children in id order lists each parent's children in
+  // the order addClass met them.
+  for (ClassId P : ParentPool)
+    ++Begin[P.value() + 1];
+  for (unsigned I = 0; I != N; ++I)
+    Begin[I + 1] += Begin[I];
+  ChildPool.resize(ParentPool.size());
+  for (unsigned I = 0; I != N; ++I)
+    for (ClassId P : Classes[I].Parents)
+      ChildPool[Begin[P.value()]++] = ClassId(I);
+  // Each Begin[P] now holds the end of P's run, which is where P + 1's
+  // begins.
+  for (unsigned I = 0; I != N; ++I) {
+    uint32_t From = I == 0 ? 0 : Begin[I - 1];
+    Classes[I].Children = {ChildPool.data() + From, Begin[I] - From};
+  }
 
   // DFS preorder numbering over the spanning tree of first visits
   // (iterative: a 10k-class chain must not overflow the native stack).
@@ -67,7 +92,7 @@ void ClassHierarchy::finalize() {
       PreOf[C] = NextPre;
       ClassAtPre[NextPre] = C;
       ++NextPre;
-      const std::vector<ClassId> &Kids = Classes[C].Children;
+      std::span<const ClassId> Kids = Classes[C].Children;
       for (size_t I = Kids.size(); I-- > 0;)
         Stack.push_back(Kids[I].value());
     }
@@ -89,60 +114,70 @@ void ClassHierarchy::finalize() {
   // extra intervals (a multi-parent class's subtree is numbered under
   // its first-visit parent and appears as a separate interval in the
   // others' cones).
-  std::vector<std::vector<ClassSet::Range>> ConeRanges(N);
+  //
+  // The pool fills in reverse id order: class C's intervals land at
+  // ConePool[ConeBegin[C + 1] .. ConeBegin[C]), ConeBegin[N] being 0.
+  // Reversing the pool and then each class's run afterwards puts it in
+  // id order, with C's run starting at the old size - ConeBegin[C].
+  ConePool.clear();
+  ConeBegin.assign(N + 1, 0);
+  std::vector<ClassSet::Range> Gather;
   for (unsigned I = N; I-- > 0;) {
-    std::vector<ClassSet::Range> Gather;
+    Gather.clear();
     Gather.push_back({PreOf[I], PreOf[I] + 1});
     for (ClassId Child : Classes[I].Children) {
-      const auto &CR = ConeRanges[Child.value()];
-      Gather.insert(Gather.end(), CR.begin(), CR.end());
+      const uint32_t C = Child.value();
+      Gather.insert(Gather.end(), ConePool.begin() + ConeBegin[C + 1],
+                    ConePool.begin() + ConeBegin[C]);
     }
     std::sort(Gather.begin(), Gather.end(),
               [](const ClassSet::Range &A, const ClassSet::Range &B) {
                 return A.Lo < B.Lo || (A.Lo == B.Lo && A.Hi < B.Hi);
               });
-    std::vector<ClassSet::Range> &Out = ConeRanges[I];
+    const size_t Start = ConePool.size();
     for (const ClassSet::Range &Rg : Gather) {
-      if (!Out.empty() && Out.back().Hi >= Rg.Lo) {
-        if (Rg.Hi > Out.back().Hi)
-          Out.back().Hi = Rg.Hi;
+      if (ConePool.size() != Start && ConePool.back().Hi >= Rg.Lo) {
+        if (Rg.Hi > ConePool.back().Hi)
+          ConePool.back().Hi = Rg.Hi;
       } else {
-        Out.push_back(Rg);
+        ConePool.push_back(Rg);
       }
     }
+    ConeBegin[I] = static_cast<uint32_t>(ConePool.size());
   }
-
-  ConeBegin.assign(N + 1, 0);
+  const uint32_t Total = static_cast<uint32_t>(ConePool.size());
+  std::reverse(ConePool.begin(), ConePool.end());
+  for (uint32_t &B : ConeBegin)
+    B = Total - B;
   for (unsigned I = 0; I != N; ++I)
-    ConeBegin[I + 1] =
-        ConeBegin[I] + static_cast<uint32_t>(ConeRanges[I].size());
-  ConePool.clear();
-  ConePool.reserve(ConeBegin[N]);
-  for (unsigned I = 0; I != N; ++I)
-    ConePool.insert(ConePool.end(), ConeRanges[I].begin(),
-                    ConeRanges[I].end());
+    std::reverse(ConePool.begin() + ConeBegin[I],
+                 ConePool.begin() + ConeBegin[I + 1]);
 
   UniverseSet = ClassSet::all(N);
 
   // Object layouts: inherited slots in parent order, then own slots, with
-  // duplicates (diamond inheritance) appearing once.
-  SlotIndex.assign(N, {});
+  // duplicates (diamond inheritance) appearing once.  Parents have
+  // smaller ids, so their layouts are pooled first; they are read by
+  // index because the pool may move as it grows.
+  LayoutPool.clear();
   for (unsigned I = 0; I != N; ++I) {
-    ClassInfo &Info = Classes[I];
-    Info.Layout.clear();
+    const size_t Start = LayoutPool.size();
+    Begin[I] = static_cast<uint32_t>(Start);
     auto AppendUnique = [&](Symbol S) {
-      if (std::find(Info.Layout.begin(), Info.Layout.end(), S) ==
-          Info.Layout.end())
-        Info.Layout.push_back(S);
+      if (std::find(LayoutPool.begin() + Start, LayoutPool.end(), S) ==
+          LayoutPool.end())
+        LayoutPool.push_back(S);
     };
-    for (ClassId P : Info.Parents)
-      for (Symbol S : Classes[P.value()].Layout)
-        AppendUnique(S);
-    for (Symbol S : Info.OwnSlots)
+    for (ClassId P : Classes[I].Parents)
+      for (uint32_t K = Begin[P.value()]; K != Begin[P.value() + 1]; ++K)
+        AppendUnique(LayoutPool[K]);
+    for (Symbol S : Classes[I].OwnSlots)
       AppendUnique(S);
-    for (size_t SI = 0; SI != Info.Layout.size(); ++SI)
-      SlotIndex[I].emplace(Info.Layout[SI], static_cast<int>(SI));
+    Begin[I + 1] = static_cast<uint32_t>(LayoutPool.size());
   }
+  for (unsigned I = 0; I != N; ++I)
+    Classes[I].Layout = {LayoutPool.data() + Begin[I],
+                         Begin[I + 1] - Begin[I]};
 
   Finalized = true;
   ++FinalizeGen;
@@ -246,9 +281,9 @@ size_t ClassHierarchy::coneIndexBytes() const {
 
 int ClassHierarchy::slotIndex(ClassId C, Symbol SlotName) const {
   requireFinalized("slotIndex");
-  const auto &Map = SlotIndex[C.value()];
-  auto It = Map.find(SlotName);
-  return It == Map.end() ? -1 : It->second;
+  std::span<const Symbol> Layout = Classes[C.value()].Layout;
+  auto It = std::find(Layout.begin(), Layout.end(), SlotName);
+  return It == Layout.end() ? -1 : static_cast<int>(It - Layout.begin());
 }
 
 std::string ClassHierarchy::setToString(const ClassSet &S,

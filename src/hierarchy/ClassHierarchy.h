@@ -31,36 +31,45 @@
 #include "support/ClassSet.h"
 #include "support/Ids.h"
 
+#include <initializer_list>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 namespace selspec {
 
-/// Per-class record.
+/// Per-class record.  The spans are read-only views into pools the
+/// hierarchy owns, one pool per kind: they are set by finalize() and stay
+/// valid until the next addClass().
 struct ClassInfo {
   Symbol Name;
-  std::vector<ClassId> Parents;
-  std::vector<ClassId> Children;
+  std::span<const ClassId> Parents;
+  std::span<const ClassId> Children;
   /// Slots declared directly on this class.
-  std::vector<Symbol> OwnSlots;
+  std::span<const Symbol> OwnSlots;
   /// Full object layout: inherited slots (parent order) then own slots,
-  /// deduplicated.  Computed by finalize().
-  std::vector<Symbol> Layout;
+  /// deduplicated.
+  std::span<const Symbol> Layout;
 };
 
 class ClassHierarchy {
 public:
   ClassHierarchy() = default;
+  /// Not copyable: every ClassInfo points into this hierarchy's pools.
+  ClassHierarchy(const ClassHierarchy &) = delete;
+  ClassHierarchy &operator=(const ClassHierarchy &) = delete;
 
   /// Adds a class.  \p Parents may be empty only for the root (Any), which
   /// must be the first class added; every other parentless class is given
   /// Any as its parent.  Returns an invalid id and leaves the hierarchy
-  /// unchanged if \p Name is already defined.
-  ClassId addClass(Symbol Name, const std::vector<ClassId> &Parents,
-                   std::vector<Symbol> OwnSlots = {});
+  /// unchanged if \p Name is already defined.  Both lists are copied into
+  /// the hierarchy's pools.
+  ClassId addClass(Symbol Name, std::span<const ClassId> Parents,
+                   std::span<const Symbol> OwnSlots = {});
+  ClassId addClass(Symbol Name, std::initializer_list<ClassId> Parents) {
+    return addClass(Name, std::span(Parents.begin(), Parents.size()));
+  }
 
   /// Marks \p C sealed: no user class may subclass it.  The builtin value
   /// classes (Int, Bool, String, Nil, Array, Closure) are sealed, which is
@@ -150,11 +159,15 @@ public:
     return UniverseSet;
   }
 
-  /// Index of slot \p SlotName in the layout of \p C, or -1.
+  /// Index of slot \p SlotName in the layout of \p C, or -1.  A scan of
+  /// the layout, which holds a handful of slots.
   int slotIndex(ClassId C, Symbol SlotName) const;
 
   /// True when \p C has no children (useful to pick concrete classes).
-  bool isLeaf(ClassId C) const { return info(C).Children.empty(); }
+  bool isLeaf(ClassId C) const {
+    requireFinalized("isLeaf");
+    return info(C).Children.empty();
+  }
 
   /// Only concrete classes can be instantiated at run time; by convention
   /// every class is concrete in Mica (abstract use is just "never
@@ -175,7 +188,16 @@ private:
   [[noreturn]] void finalizeViolation(const char *Query) const;
 
   std::vector<ClassInfo> Classes;
-  std::unordered_map<Symbol, ClassId> ByName;
+  /// Each class's parents and own slots in addClass order: class C's are
+  /// ParentPool[ParentBegin[C] .. ParentBegin[C+1]), and likewise for
+  /// OwnSlotPool.  finalize() builds ChildPool (each class's children in
+  /// id order) and LayoutPool the same way, and points the ClassInfo
+  /// spans into all four.
+  std::vector<ClassId> ParentPool, ChildPool;
+  std::vector<Symbol> OwnSlotPool, LayoutPool;
+  std::vector<uint32_t> ParentBegin{0}, OwnSlotBegin{0};
+  /// ByName[symbol value] = the class of that name, or an invalid id.
+  std::vector<ClassId> ByName;
   /// PreOf[classId] = DFS preorder number; ClassAtPre is its inverse.
   std::vector<uint32_t> PreOf;
   std::vector<uint32_t> ClassAtPre;
@@ -188,8 +210,6 @@ private:
   bool IdOrderIsPreorder = false;
   /// Cached universe set (one interval).
   ClassSet UniverseSet;
-  /// Per-class slot index maps; computed by finalize().
-  std::vector<std::unordered_map<Symbol, int>> SlotIndex;
   std::unordered_set<uint32_t> Sealed;
   bool Finalized = false;
   uint64_t FinalizeGen = 0;

@@ -20,14 +20,16 @@ bool Program::addModule(Module M, Diagnostics &Diags) {
   // Pass 1: declare all class names so that forward references and mutual
   // references within the module work.  Parents must still form a DAG:
   // a class may only name already-declared classes (including ones from
-  // this pass when they appear earlier in the file) as parents.
+  // this pass when they appear earlier in the file) as parents.  One
+  // parent list serves every class: addClass copies it into its pool.
+  std::vector<ClassId> Parents;
   for (ClassDecl &CD : M.Classes) {
     if (Classes.lookup(CD.Name).isValid()) {
       Diags.error(CD.Loc,
                   "duplicate class '" + Syms.name(CD.Name) + "'");
       continue;
     }
-    std::vector<ClassId> Parents;
+    Parents.clear();
     bool Ok = true;
     for (Symbol P : CD.Parents) {
       ClassId PId = Classes.lookup(P);

@@ -268,7 +268,7 @@ ExprPtr Parser::parseAssignment() {
   return Lhs;
 }
 
-ExprPtr Parser::makeSend(const std::string &Generic, std::vector<ExprPtr> Args,
+ExprPtr Parser::makeSend(std::string_view Generic, std::vector<ExprPtr> Args,
                          SourceLoc Loc) {
   auto S = std::make_unique<SendExpr>(Symbols.intern(Generic),
                                       std::move(Args), Loc);
@@ -439,7 +439,7 @@ ExprPtr Parser::parsePrimary() {
   case TokenKind::IntLit:
     return std::make_unique<IntLitExpr>(advance().IntValue, Loc);
   case TokenKind::StrLit:
-    return std::make_unique<StrLitExpr>(advance().Text, Loc);
+    return std::make_unique<StrLitExpr>(std::string(advance().Text), Loc);
   case TokenKind::KwTrue:
     advance();
     return std::make_unique<BoolLitExpr>(true, Loc);

@@ -89,7 +89,7 @@ private:
   std::vector<ExprPtr> parseArgs();
 
   /// Builds a send `Generic(Args...)`.
-  ExprPtr makeSend(const std::string &Generic, std::vector<ExprPtr> Args,
+  ExprPtr makeSend(std::string_view Generic, std::vector<ExprPtr> Args,
                    SourceLoc Loc);
 
   std::vector<Token> Tokens;

@@ -17,7 +17,8 @@
 #include "support/SourceLoc.h"
 
 #include <cstdint>
-#include <string>
+#include <string_view>
+#include <type_traits>
 
 namespace selspec {
 
@@ -72,14 +73,22 @@ enum class TokenKind : uint8_t {
 /// Returns a human-readable spelling for diagnostics ("':='", "identifier").
 const char *tokenKindName(TokenKind K);
 
+/// One token: 32 bytes, copied by value.  No token owns memory.
 struct Token {
   TokenKind Kind = TokenKind::Eof;
   SourceLoc Loc;
-  /// Identifier or string-literal text.
-  std::string Text;
-  /// Integer literal value.
-  int64_t IntValue = 0;
+  union {
+    /// Identifier text, a view into the lexed source; or string-literal
+    /// text after escape decoding, a view into the lexer's string table.
+    /// Either stays valid while the source and the Lexer live.
+    std::string_view Text{};
+    /// Integer literal value.
+    int64_t IntValue;
+  };
 };
+
+static_assert(sizeof(Token) <= 32 && std::is_trivially_copyable_v<Token>,
+              "tokens are small values");
 
 } // namespace selspec
 

@@ -349,6 +349,125 @@ TEST(IntervalConeTest, MatchesTransitiveClosureOnRandomHierarchies) {
 }
 
 //===----------------------------------------------------------------------===//
+// Pooled per-class storage vs. brute force over random DAGs with slots
+//===----------------------------------------------------------------------===//
+
+/// Class \p C's layout by the definition: every parent's layout in parent
+/// order, then the own slots, keeping each slot's first occurrence.
+void expandLayout(const std::vector<std::vector<unsigned>> &ParentsOf,
+                  const std::vector<std::vector<Symbol>> &OwnOf, unsigned C,
+                  std::vector<Symbol> &Out) {
+  for (unsigned P : ParentsOf[C])
+    expandLayout(ParentsOf, OwnOf, P, Out);
+  for (Symbol S : OwnOf[C])
+    if (std::find(Out.begin(), Out.end(), S) == Out.end())
+      Out.push_back(S);
+}
+
+TEST(PooledHierarchyTest, MatchesBruteForceOnRandomDagsWithSlots) {
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+    fuzz::Rng R(Seed);
+    SymbolTable Syms;
+    ClassHierarchy H;
+    std::vector<std::vector<unsigned>> ParentsOf = randomDag(R);
+    // Slot names s0..s5; "absent" is interned but in no layout.
+    std::vector<Symbol> SlotNames;
+    for (unsigned I = 0; I != 6; ++I)
+      SlotNames.push_back(Syms.intern("s" + std::to_string(I)));
+    const Symbol Absent = Syms.intern("absent");
+    std::vector<std::vector<Symbol>> OwnOf;
+    auto AddClass = [&](std::vector<unsigned> Parents) {
+      const unsigned I = static_cast<unsigned>(OwnOf.size());
+      std::vector<Symbol> Own;
+      for (unsigned K = R.below(4); K-- > 0;)
+        Own.push_back(SlotNames[R.below(6)]);
+      std::vector<ClassId> Ps;
+      for (unsigned P : Parents)
+        Ps.push_back(ClassId(P));
+      ASSERT_EQ(H.addClass(Syms.intern("C" + std::to_string(I)), Ps, Own),
+                ClassId(I));
+      // A parentless class other than the root is given the root.
+      if (Parents.empty() && I != 0)
+        Parents.push_back(0);
+      if (I < ParentsOf.size())
+        ParentsOf[I] = Parents;
+      else
+        ParentsOf.push_back(Parents);
+      OwnOf.push_back(Own);
+    };
+    for (unsigned I = 0; I != ParentsOf.size(); ++I)
+      AddClass(ParentsOf[I]);
+    AddClass({}); // an orphan
+    EXPECT_FALSE(H.addClass(Syms.intern("C1"), {H.root()}).isValid());
+
+    auto Check = [&](const char *Round) {
+      const unsigned N = static_cast<unsigned>(ParentsOf.size());
+      ASSERT_EQ(H.size(), N);
+      size_t Intervals = 0;
+      for (unsigned C = 0; C != N; ++C) {
+        const ClassInfo &Info = H.info(ClassId(C));
+        SCOPED_TRACE(testing::Message() << "seed " << Seed << " " << Round
+                                        << " class " << C);
+        EXPECT_EQ(Info.Name, Syms.find("C" + std::to_string(C)));
+        EXPECT_EQ(H.lookup(Info.Name), ClassId(C));
+
+        std::vector<ClassId> WantParents, WantChildren;
+        for (unsigned P : ParentsOf[C])
+          WantParents.push_back(ClassId(P));
+        for (unsigned K = 0; K != N; ++K)
+          for (unsigned P : ParentsOf[K])
+            if (P == C)
+              WantChildren.push_back(ClassId(K));
+        EXPECT_EQ(std::vector<ClassId>(Info.Parents.begin(),
+                                       Info.Parents.end()),
+                  WantParents);
+        EXPECT_EQ(std::vector<ClassId>(Info.Children.begin(),
+                                       Info.Children.end()),
+                  WantChildren);
+        EXPECT_EQ(H.isLeaf(ClassId(C)), WantChildren.empty());
+        EXPECT_EQ(std::vector<Symbol>(Info.OwnSlots.begin(),
+                                      Info.OwnSlots.end()),
+                  OwnOf[C]);
+
+        std::vector<Symbol> WantLayout;
+        expandLayout(ParentsOf, OwnOf, C, WantLayout);
+        EXPECT_EQ(std::vector<Symbol>(Info.Layout.begin(), Info.Layout.end()),
+                  WantLayout);
+        for (Symbol S : SlotNames) {
+          auto It = std::find(WantLayout.begin(), WantLayout.end(), S);
+          EXPECT_EQ(H.slotIndex(ClassId(C), S),
+                    It == WantLayout.end()
+                        ? -1
+                        : static_cast<int>(It - WantLayout.begin()));
+        }
+        EXPECT_EQ(H.slotIndex(ClassId(C), Absent), -1);
+        EXPECT_EQ(H.slotIndex(ClassId(C), Symbol()), -1);
+        Intervals += H.coneIntervalCount(ClassId(C));
+      }
+      EXPECT_FALSE(H.lookup(Absent).isValid());
+      EXPECT_FALSE(H.lookup(Syms.intern("never-a-class")).isValid());
+      // The index is the preorder, its inverse, the interval offsets and
+      // the intervals, and nothing else.
+      EXPECT_EQ(H.coneIndexBytes(), sizeof(uint32_t) * (3 * size_t(N) + 1) +
+                                        sizeof(ClassSet::Range) * Intervals);
+    };
+    H.finalize();
+    Check("first finalize");
+    // More classes after a finalize: every pool grows and is re-pointed.
+    for (unsigned K = 0; K != 40; ++K) {
+      std::vector<unsigned> Ps = {R.below(H.size())};
+      if (R.chance(30))
+        Ps.push_back(R.below(H.size()));
+      if (Ps.size() == 2 && Ps[0] == Ps[1])
+        Ps.pop_back();
+      AddClass(Ps);
+    }
+    H.finalize();
+    Check("second finalize");
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // DispatchTable cell-cap regression
 //===----------------------------------------------------------------------===//
 

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The overload-resilience SLO harness (DESIGN.md section 13): the four
+/// The overload-resilience SLO harness (DESIGN.md section 12): the four
 /// Table 2 benchmarks, prebuilt as Selective snapshots, served as a
 /// deliberately overloaded job storm against a small admission-controlled
 /// pool, with poison jobs (tiny modeled-byte budgets sharing one source

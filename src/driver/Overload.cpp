@@ -33,8 +33,8 @@ Policy ThePolicy = inertPolicy(); // guarded by M
 unsigned PressuredTicks = 0;      // guarded by M
 unsigned ClearTicks = 0;          // guarded by M
 
-/// Readable without M so consumers (admission paths, adaptive admit) pay
-/// one relaxed load.
+/// Readable without M so consumers (snapshot builders) pay one relaxed
+/// load.
 std::atomic<Level> TheLevel{Level::Normal};
 
 metrics::Counter GaugeLevel("serve.brownout_level");
@@ -64,10 +64,6 @@ const char *selspec::overload::levelName(Level L) {
   switch (L) {
   case Level::Normal:
     return "normal";
-  case Level::NoArcs:
-    return "no-arcs";
-  case Level::NoRespec:
-    return "no-respec";
   case Level::ChaOnly:
     return "cha-only";
   }
@@ -100,17 +96,13 @@ void selspec::overload::observe(size_t QueueDepth, size_t QueueCapacity) {
     ClearTicks = 0;
     if (Cur != Level::ChaOnly && ++PressuredTicks >= ThePolicy.EngageTicks) {
       PressuredTicks = 0;
-      transitionLocked(Cur,
-                       static_cast<Level>(static_cast<uint8_t>(Cur) + 1),
-                       QueueDepth, QueueCapacity);
+      transitionLocked(Cur, Level::ChaOnly, QueueDepth, QueueCapacity);
     }
   } else if (Clear) {
     PressuredTicks = 0;
     if (Cur != Level::Normal && ++ClearTicks >= ThePolicy.RecoverTicks) {
       ClearTicks = 0;
-      transitionLocked(Cur,
-                       static_cast<Level>(static_cast<uint8_t>(Cur) - 1),
-                       QueueDepth, QueueCapacity);
+      transitionLocked(Cur, Level::Normal, QueueDepth, QueueCapacity);
     }
   }
   // In the hysteresis band between the fractions neither counter moves:
@@ -121,15 +113,7 @@ Level selspec::overload::level() {
   return TheLevel.load(std::memory_order_relaxed);
 }
 
-bool selspec::overload::allowArcCollection() {
-  return level() < Level::NoArcs;
-}
-
-bool selspec::overload::allowRespecialization() {
-  return level() < Level::NoRespec;
-}
-
-bool selspec::overload::degradeToCha() { return level() >= Level::ChaOnly; }
+bool selspec::overload::degradeToCha() { return level() == Level::ChaOnly; }
 
 void selspec::overload::reset() {
   std::lock_guard<std::mutex> Lock(M);

@@ -7,28 +7,24 @@
 /// \file
 /// The serving layer's brown-out governor: a process-wide state machine
 /// that watches sustained queue and memory pressure and sheds *optional*
-/// work before the server has to shed jobs.  The ladder degrades the
-/// cheapest-to-lose feature first and recovers in reverse order when
-/// pressure clears (DESIGN.md section 13):
+/// work before the server has to shed jobs.  The ladder has one rung
+/// above Normal, and recovers to Normal when pressure clears (DESIGN.md
+/// section 12):
 ///
 ///   Normal   -> everything enabled
-///   NoArcs   -> adaptive live-arc collection off (profiling is pure
-///               overhead under load; serving is unaffected)
-///   NoRespec -> background respecialization/canary builds off (a build
-///               burns a core and doubles resident compiled state)
 ///   ChaOnly  -> new snapshot builds degrade Selective -> CHA (cheapest
 ///               compile that still serves; mirrors the offline
-///               missing-profile degradation from PR 3)
+///               missing-profile degradation)
 ///
 /// Pressure is observed by the ServeEngine on every queue transition:
 /// queue depth as a fraction of capacity, plus the process-wide modeled
 /// live bytes from support/MemoryBudget.  Transitions need EngageTicks
-/// consecutive pressured observations to escalate one level and
-/// RecoverTicks consecutive clear observations to step back down, so a
-/// single burst can't flap the ladder.  Every transition bumps
+/// consecutive pressured observations to escalate and RecoverTicks
+/// consecutive clear observations to step back down, so a single burst
+/// can't flap the ladder.  Every transition bumps
 /// `serve.brownout_escalations` / `serve.brownout_recoveries` and the
-/// `serve.brownout_level` gauge; consumers (AdaptiveController, micad's
-/// snapshot builders) read the cheap level accessors.
+/// `serve.brownout_level` gauge; consumers (micad's snapshot builders)
+/// read the cheap level accessors.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,11 +37,10 @@
 namespace selspec {
 namespace overload {
 
-/// Ladder rungs, in escalation order.  Each rung implies the ones below
-/// it (ChaOnly also disables respecialization and arc collection).
-enum class Level : uint8_t { Normal = 0, NoArcs = 1, NoRespec = 2, ChaOnly = 3 };
+/// Ladder rungs, in escalation order.
+enum class Level : uint8_t { Normal = 0, ChaOnly = 1 };
 
-/// Stable lower-case name of \p L ("normal", "no-arcs", ...).
+/// Stable lower-case name of \p L ("normal", "cha-only").
 const char *levelName(Level L);
 
 struct Policy {
@@ -59,9 +54,9 @@ struct Policy {
   /// (between the two fractions neither counter advances — a hysteresis
   /// band, not a boolean).
   double QueueLowFraction = 0.25;
-  /// Consecutive pressured observations to escalate one level.
+  /// Consecutive pressured observations to escalate to ChaOnly.
   unsigned EngageTicks = 4;
-  /// Consecutive clear observations to recover one level.
+  /// Consecutive clear observations to recover to Normal.
   unsigned RecoverTicks = 16;
   /// Log every transition to stderr (servers; off for tests/benches that
   /// own stdout/stderr).
@@ -83,11 +78,7 @@ void observe(size_t QueueDepth, size_t QueueCapacity);
 
 Level level();
 
-/// Level < NoArcs: adaptive controllers may sample live arcs.
-bool allowArcCollection();
-/// Level < NoRespec: background respecialization/canary builds may run.
-bool allowRespecialization();
-/// Level >= ChaOnly: new snapshot builds should degrade Selective -> CHA.
+/// Level == ChaOnly: new snapshot builds should degrade Selective -> CHA.
 bool degradeToCha();
 
 /// Back to Normal with cleared tick state (test isolation; does not

@@ -189,7 +189,6 @@ void ServeEngine::workerLoop(unsigned Slot) {
     JO.Costs = QJ.J.Costs;
     JO.CaptureOutput = QJ.J.CaptureOutput;
     JO.CollectMetricsDelta = QJ.J.CollectMetricsDelta;
-    JO.CollectArcs = QJ.J.CollectArcs;
 
     auto Start = std::chrono::steady_clock::now();
     Cmp.Result = QJ.J.Snapshot->run(QJ.J.Input, JO);

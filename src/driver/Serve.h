@@ -15,7 +15,7 @@
 /// Backpressure is by blocking by default: submit() waits while the queue
 /// is at capacity, so a replay loop can never race ahead of the pool
 /// unbounded.  Two overload-resilience admission modes relax that
-/// (DESIGN.md section 13): a bounded submit wait (Options::MaxSubmitWaitMs)
+/// (DESIGN.md section 12): a bounded submit wait (Options::MaxSubmitWaitMs)
 /// sheds the job instead of blocking past the bound, and deadline-aware
 /// admission (Options::DeadlineAwareAdmission) sheds a job at submit time
 /// when the estimated queue wait at the current depth already exceeds the
@@ -99,9 +99,6 @@ public:
     CostModel Costs;
     bool CaptureOutput = true;
     bool CollectMetricsDelta = true;
-    /// Record the job's call-graph arcs into Completion::Result.Arcs
-    /// (adaptive live profiling; see CompiledSnapshot::JobOptions).
-    bool CollectArcs = false;
   };
 
   struct Completion {

@@ -77,7 +77,7 @@ public:
     /// Fill JobResult::MetricsDelta (see below).
     bool CollectMetricsDelta = false;
     /// Record this job's weighted call-graph arcs into JobResult::Arcs
-    /// (the profile run, and adaptive live profiling).  The arcs land in
+    /// (Workbench::collectProfile's profile run).  The arcs land in
     /// a job-private CallGraph on the interpreter's stack — no shared
     /// state, no atomics — and are merged by the caller afterwards, the
     /// same publish-after-run scheme the metrics deltas use.  RunStats
@@ -105,7 +105,7 @@ public:
     /// This job's weighted arcs (JobOptions::CollectArcs); empty
     /// otherwise.  Site/method ids are those of the snapshot's Program,
     /// so arcs from any job against any snapshot of the same sources
-    /// merge into one coherent live profile.
+    /// merge into one coherent profile.
     CallGraph Arcs;
   };
 

@@ -36,10 +36,6 @@ constexpr const char *Names[] = {
     "profiledb.save.sync",    ///< after write, before fsync completes
     "profiledb.save.backup",  ///< before rotating current -> .bak
     "profiledb.save.rename",  ///< before renaming temp -> current
-    "adaptive.build",         ///< background respecialization build
-    "adaptive.canary",        ///< routing a canary job to the candidate
-    "adaptive.promote",       ///< the incumbent<-candidate pointer swap
-    "adaptive.profile-save",  ///< persisting the merged live profile
 };
 constexpr size_t NumNames = sizeof(Names) / sizeof(Names[0]);
 

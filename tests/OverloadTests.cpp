@@ -59,8 +59,6 @@ TEST(Overload, InertPolicyNeverEscalates) {
   for (int I = 0; I != 100; ++I)
     overload::observe(/*QueueDepth=*/8, /*QueueCapacity=*/8);
   EXPECT_EQ(overload::level(), overload::Level::Normal);
-  EXPECT_TRUE(overload::allowArcCollection());
-  EXPECT_TRUE(overload::allowRespecialization());
   EXPECT_FALSE(overload::degradeToCha());
 }
 
@@ -72,41 +70,35 @@ TEST(Overload, LadderEscalatesHoldsAndRecovers) {
   overload::setPolicy(P);
   overload::reset();
 
-  // Three consecutive pressured observations: one rung up.
-  for (int I = 0; I != 3; ++I)
+  // Two pressured observations are not yet a streak.
+  for (int I = 0; I != 2; ++I)
     overload::observe(8, 8);
-  EXPECT_EQ(overload::level(), overload::Level::NoArcs);
-  EXPECT_FALSE(overload::allowArcCollection());
-  EXPECT_TRUE(overload::allowRespecialization());
+  EXPECT_EQ(overload::level(), overload::Level::Normal);
   EXPECT_FALSE(overload::degradeToCha());
+
+  // The third consecutive one engages the one rung.
+  overload::observe(8, 8);
+  EXPECT_EQ(overload::level(), overload::Level::ChaOnly);
+  EXPECT_TRUE(overload::degradeToCha());
+
+  // Sustained pressure saturates there.
+  for (int I = 0; I != 20; ++I)
+    overload::observe(8, 8);
+  EXPECT_EQ(overload::level(), overload::Level::ChaOnly);
 
   // The hysteresis band between the fractions holds the level no matter
   // how long the queue sits there.
   for (int I = 0; I != 50; ++I)
     overload::observe(4, 8); // 0.5: above low (0.25), below high (0.75)
-  EXPECT_EQ(overload::level(), overload::Level::NoArcs);
-
-  // Sustained pressure climbs the remaining rungs and saturates.
-  for (int I = 0; I != 6; ++I)
-    overload::observe(8, 8);
-  EXPECT_EQ(overload::level(), overload::Level::ChaOnly);
-  EXPECT_FALSE(overload::allowArcCollection());
-  EXPECT_FALSE(overload::allowRespecialization());
-  EXPECT_TRUE(overload::degradeToCha());
-  for (int I = 0; I != 20; ++I)
-    overload::observe(8, 8);
   EXPECT_EQ(overload::level(), overload::Level::ChaOnly);
 
-  // Recovery steps back down one rung per RecoverTicks clear
-  // observations, all the way to Normal.
-  for (int I = 0; I != 4; ++I)
+  // Recovery needs RecoverTicks consecutive clear observations.
+  for (int I = 0; I != 3; ++I)
     overload::observe(0, 8);
-  EXPECT_EQ(overload::level(), overload::Level::NoRespec);
-  for (int I = 0; I != 8; ++I)
-    overload::observe(0, 8);
+  EXPECT_EQ(overload::level(), overload::Level::ChaOnly);
+  overload::observe(0, 8);
   EXPECT_EQ(overload::level(), overload::Level::Normal);
-  EXPECT_TRUE(overload::allowArcCollection());
-  EXPECT_TRUE(overload::allowRespecialization());
+  EXPECT_FALSE(overload::degradeToCha());
 }
 
 TEST(Overload, ClearObservationResetsTheEscalationStreak) {
@@ -127,7 +119,7 @@ TEST(Overload, ClearObservationResetsTheEscalationStreak) {
   EXPECT_EQ(overload::level(), overload::Level::Normal);
   // The fourth consecutive pressured tick finally engages.
   overload::observe(8, 8);
-  EXPECT_EQ(overload::level(), overload::Level::NoArcs);
+  EXPECT_EQ(overload::level(), overload::Level::ChaOnly);
 }
 
 TEST(Overload, MemorySignalPressuresAnEmptyQueue) {
@@ -150,7 +142,7 @@ TEST(Overload, MemorySignalPressuresAnEmptyQueue) {
   membudget::addLive(int64_t(2) << 20);
   for (int I = 0; I != 2; ++I)
     overload::observe(0, 8);
-  EXPECT_EQ(overload::level(), overload::Level::NoArcs);
+  EXPECT_EQ(overload::level(), overload::Level::ChaOnly);
 
   // Releasing the bytes clears the signal and the ladder recovers.
   membudget::addLive(-(int64_t(2) << 20));
@@ -302,15 +294,21 @@ TEST(Quarantine, ReleaseForgetsOffensesUntilTheThresholdAgain) {
 //===----------------------------------------------------------------------===//
 
 TEST(FailPointConfig, UnknownSiteListsTheValidCatalog) {
-  std::string Err;
-  EXPECT_FALSE(failpoint::configure("definitely-not-a-site=fail", Err));
-  EXPECT_NE(Err.find("definitely-not-a-site"), std::string::npos)
-      << "diagnostic names the offending site: " << Err;
-  EXPECT_NE(Err.find("valid sites"), std::string::npos) << Err;
-  for (const char *Name : failpoint::allNames())
-    EXPECT_NE(Err.find(Name), std::string::npos)
-        << "diagnostic lists every valid site; missing " << Name;
-  EXPECT_FALSE(failpoint::anyArmed())
-      << "a rejected spec must not leave sites armed";
-  failpoint::disarmAll();
+  // The second input is a site that no longer exists (online adaptive
+  // respecialization was removed): an old soak script that still arms it
+  // must fail loudly, not run with nothing armed.
+  for (const char *Site : {"definitely-not-a-site", "adaptive.promote"}) {
+    SCOPED_TRACE(Site);
+    std::string Err;
+    EXPECT_FALSE(failpoint::configure(std::string(Site) + "=fail", Err));
+    EXPECT_NE(Err.find(Site), std::string::npos)
+        << "diagnostic names the offending site: " << Err;
+    EXPECT_NE(Err.find("valid sites"), std::string::npos) << Err;
+    for (const char *Name : failpoint::allNames())
+      EXPECT_NE(Err.find(Name), std::string::npos)
+          << "diagnostic lists every valid site; missing " << Name;
+    EXPECT_FALSE(failpoint::anyArmed())
+        << "a rejected spec must not leave sites armed";
+    failpoint::disarmAll();
+  }
 }

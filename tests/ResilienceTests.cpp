@@ -12,7 +12,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Adaptive.h"
 #include "driver/Pipeline.h"
 #include "driver/Serve.h"
 #include "driver/Snapshot.h"
@@ -189,7 +188,7 @@ TEST(DeadlineTrap, UnexpiredDeadlineDoesNotPerturbTheRun) {
 
 TEST(Failpoint, CatalogIsStable) {
   const std::vector<const char *> &Names = failpoint::allNames();
-  EXPECT_EQ(Names.size(), 20u);
+  EXPECT_EQ(Names.size(), 16u);
   // Spot-check the contract names tools and docs rely on.
   auto Has = [&](const char *N) {
     for (const char *Name : Names)
@@ -201,8 +200,6 @@ TEST(Failpoint, CatalogIsStable) {
   EXPECT_TRUE(Has("interp.frame-acquire"));
   EXPECT_TRUE(Has("dispatch.table-build"));
   EXPECT_TRUE(Has("profiledb.save.rename"));
-  EXPECT_TRUE(Has("adaptive.build"));
-  EXPECT_TRUE(Has("adaptive.promote"));
 }
 
 TEST(Failpoint, ConfigureRejectsBadSpecsAtomically) {
@@ -620,93 +617,4 @@ TEST(CrashSafeDb, V1InterchangeStillAccepted) {
   ASSERT_TRUE(Loaded.saveToFile(Path));
   EXPECT_EQ(readFileOr(Path, "").rfind("selspec-profile v2 gen 1", 0), 0u);
   removeAll(Path);
-}
-
-//===----------------------------------------------------------------------===//
-// Adaptive respecialization under injected faults: any single armed
-// adaptive.* failpoint during serving demotes the candidate and pins the
-// incumbent — never a crash, a lost job, or a wedged serving loop.
-//===----------------------------------------------------------------------===//
-
-TEST(AdaptiveFailpoints, AnySingleFailpointRollsBackToIncumbent) {
-  const char *ServeSrc = R"(
-      class Shape; class Circle isa Shape; class Square isa Shape;
-      method area(s@Circle) { 3; }
-      method area(s@Square) { 4; }
-      method pick(n@Int) {
-        if (n % 2 == 0) { new Circle; } else { new Square; }
-      }
-      method main(n@Int) {
-        let i := 0; let acc := 0;
-        while (i < n) { acc := acc + area(pick(i)); i := i + 1; }
-        acc;
-      })";
-  const char *Points[] = {"adaptive.build", "adaptive.canary",
-                          "adaptive.promote", "adaptive.profile-save"};
-  for (const char *Point : Points) {
-    SCOPED_TRACE(Point);
-    FailpointGuard G;
-    std::string Err;
-    ASSERT_TRUE(failpoint::configure(std::string(Point) + "=fail", Err))
-        << Err;
-
-    std::string DbPath = tempPath("adaptive_fp.profdb");
-    removeAll(DbPath);
-
-    std::shared_ptr<Workbench> WB = Workbench::fromSources({ServeSrc}, Err);
-    ASSERT_TRUE(WB) << Err;
-    std::shared_ptr<const CompiledSnapshot> Inc =
-        WB->buildSnapshot(Config::CHA, Err, {}, {}, WB);
-    ASSERT_TRUE(Inc) << Err;
-
-    AdaptiveController::Options O;
-    O.CanaryFraction = 0.5;
-    O.CanaryJobs = 4;
-    O.MinIncumbentJobs = 1;
-    O.RespecializeIntervalMs = 0;
-    O.ProfileDbPath = DbPath; // exercises adaptive.profile-save
-    AdaptiveController C(
-        Inc,
-        [ServeSrc](const CallGraph &,
-                   std::string &E) -> std::shared_ptr<const CompiledSnapshot> {
-          std::shared_ptr<Workbench> B = Workbench::fromSources({ServeSrc}, E);
-          if (!B)
-            return nullptr;
-          return B->buildSnapshot(Config::CHA, E, {}, {}, B);
-        },
-        O);
-
-    // The serving loop micad runs, bounded: every job must complete Ok
-    // whichever failpoint is armed (a failed canary probe serves from the
-    // incumbent; a healthy candidate runs fine even if its promotion is
-    // then injected to fail).
-    auto Serve = [&](size_t N) {
-      for (size_t I = 0; I != N; ++I) {
-        AdaptiveController::Ticket T = C.admit();
-        ASSERT_TRUE(T.Snap) << "admission must always yield a snapshot";
-        CompiledSnapshot::JobOptions JO;
-        JO.CollectArcs = T.SampleArcs;
-        CompiledSnapshot::JobResult R = T.Snap->run(30, JO);
-        C.report(T, R.Ok, R.Ok ? R.R.Run.Cycles : 0,
-                 T.SampleArcs ? &R.Arcs : nullptr);
-        EXPECT_TRUE(R.Ok) << "job " << I << " failed: " << R.Error;
-      }
-    };
-
-    Serve(8);
-    std::string BuildErr;
-    C.respecializeNow(BuildErr, /*Force=*/true); // fails for build/save points
-    Serve(24); // enough traffic for a full canary verdict
-    EXPECT_TRUE(C.waitForDecision(0, 2000));
-
-    EXPECT_EQ(C.promotions(), 0u)
-        << "an injected fault anywhere in the chain must block promotion";
-    EXPECT_GE(C.rollbacks(), 1u) << "the failure must roll back, not linger";
-    EXPECT_EQ(C.incumbent().get(), Inc.get())
-        << "the incumbent must come through the episode untouched";
-    EXPECT_EQ(C.phase(), AdaptiveController::Phase::Stable)
-        << "no candidate may survive the injected fault";
-
-    removeAll(DbPath);
-  }
 }

@@ -12,7 +12,9 @@
 //   - per-job metrics deltas sum exactly to the process-wide registry
 //     totals;
 //   - deadlines and shutdown cancel jobs cooperatively;
-//   - SnapshotCache builds each key once and never caches failures.
+//   - SnapshotCache builds each key once and never caches failures;
+//   - arc collection (the offline profile run's recorder) is exact and
+//     leaves RunStats and output unchanged, on both tiers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -543,4 +545,50 @@ TEST(SnapshotCacheTest, FailedBuildsAreNotCached) {
       GErr);
   ASSERT_TRUE(Snap) << GErr;
   EXPECT_EQ(Cache.size(), 1u);
+}
+
+// JobOptions::CollectArcs is the arc recorder behind Workbench::
+// collectProfile: it must record the run's call-graph arcs and leave the
+// run itself (RunStats, output) exactly as an unprofiled run.
+TEST(SnapshotArcs, CollectionIsExactAndInvisibleOnBothTiers) {
+  // pick() launders the receiver class so area() stays a live dynamic
+  // dispatch and every run records arcs.
+  const char *Src = R"(
+    class Shape; class Circle isa Shape; class Square isa Shape;
+    method area(s@Circle) { 3; }
+    method area(s@Square) { 4; }
+    method pick(n@Int) {
+      if (n % 2 == 0) { new Circle; } else { new Square; }
+    }
+    method main(n@Int) {
+      let i := 0; let acc := 0;
+      while (i < n) { acc := acc + area(pick(i)); i := i + 1; }
+      acc;
+    })";
+  for (ExecTier T : {ExecTier::Bytecode, ExecTier::Ast}) {
+    SCOPED_TRACE(T == ExecTier::Bytecode ? "bytecode" : "ast");
+    std::string Err;
+    std::shared_ptr<Workbench> WB = Workbench::fromSources({Src}, Err);
+    ASSERT_TRUE(WB) << Err;
+    WB->setTier(T);
+    std::shared_ptr<const CompiledSnapshot> Snap =
+        WB->buildSnapshot(Config::CHA, Err, {}, {}, WB);
+    ASSERT_TRUE(Snap) << Err;
+
+    CompiledSnapshot::JobResult Plain = Snap->run(40);
+    ASSERT_TRUE(Plain.Ok) << Plain.Error;
+    EXPECT_TRUE(Plain.Arcs.empty()) << "unprofiled jobs must not record arcs";
+
+    CompiledSnapshot::JobOptions JO;
+    JO.CollectArcs = true;
+    CompiledSnapshot::JobResult Profiled = Snap->run(40, JO);
+    ASSERT_TRUE(Profiled.Ok) << Profiled.Error;
+    EXPECT_GT(Profiled.Arcs.numArcs(), 0u);
+    EXPECT_GT(Profiled.Arcs.totalWeight(), 0u);
+
+    // Profiling must be observationally free: identical stats and output.
+    EXPECT_TRUE(Plain.R.Run == Profiled.R.Run)
+        << "arc collection changed the run's RunStats";
+    EXPECT_EQ(Plain.R.Output, Profiled.R.Output);
+  }
 }

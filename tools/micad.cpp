@@ -71,30 +71,21 @@
 /// worker), report still-queued jobs as "cancelled", flush --metrics-json,
 /// exit 0.
 ///
-/// Adaptive serving: --adaptive (implies thread isolation) puts every
-/// snapshot behind an AdaptiveController (driver/Adaptive.h): jobs are
-/// sampled for live call-graph arcs, a background thread respecializes on
-/// a cadence / SIGHUP / arc-weight threshold, and a rebuilt candidate
-/// canaries a bounded fraction of jobs before an RCU promotion — or rolls
-/// back to the incumbent on any trap/cost regression or injected
-/// `adaptive.*` failpoint.  A job that fails with a deadline trap while a
-/// swap happened mid-run (or while it was canary traffic) is retried once,
-/// synchronously, on the incumbent (micad.adaptive_retries); outcomes then
-/// read "retried(1)" exactly like fork-mode recoveries.  SIGHUP requests
-/// an immediate respecialization of every controller (observed when the
-/// next request line arrives, or by the periodic cadence on a quiet
-/// stream).  micad arms SELSPEC_FAILPOINTS at startup, so soaks can arm
-/// adaptive failpoints process-wide without per-job inject=.
+/// Profiles: a Selective job is specialized from an offline profile run
+/// of its program at profile-input (Workbench::collectProfile) — once per
+/// snapshot in thread isolation, once per job in fork isolation.  Serving
+/// never respecializes.  micad arms SELSPEC_FAILPOINTS at startup, so
+/// soaks can arm failpoints process-wide without per-job inject=; an
+/// unknown failpoint name stops the server at startup (exit 2).
 ///
-/// Overload resilience (thread isolation; DESIGN.md section 13): --shed
+/// Overload resilience (thread isolation; DESIGN.md section 12): --shed
 /// turns on deadline-aware admission — a job whose estimated queue wait
 /// already exceeds its deadline is refused up front with outcome "shed"
 /// instead of timing out after burning a pool slot — and
 /// --max-submit-wait-ms bounds how long a full queue backpressures the
 /// accept loop before shedding.  Sustained queue/memory pressure also
-/// drives a brown-out ladder (driver/Overload.h) that progressively turns
-/// off arc collection, then respecialization, then degrades new Selective
-/// snapshot builds to CHA, recovering in reverse as pressure clears.  A
+/// drives a brown-out ladder (driver/Overload.h) that degrades new
+/// Selective snapshot builds to CHA, recovering as pressure clears.  A
 /// source whose jobs repeatedly trap on resource guards or injected
 /// faults is quarantined (driver/Quarantine.h): its later jobs reroute to
 /// the crash-proof fork path (counted by serve.quarantined) so one poison
@@ -117,23 +108,15 @@
 ///   --brownout-mem-bytes N    modeled live bytes driving the brown-out
 ///                             ladder's memory signal            [0=off]
 ///   --metrics-json FILE       write the server's counter registry on exit
-///   --adaptive                online respecialization (thread isolation)
-///   --canary-fraction F       candidate's canary traffic share  [0.25]
-///   --respecialize-interval MS  periodic respecialization       [1000]
-///   --arc-threshold N         new arc weight triggering a build [0=off]
-///   --arc-sample N            collect arcs from every Nth job   [1]
-///   --profile-db FILE         persist merged live profiles (gen chain)
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/Adaptive.h"
 #include "driver/Overload.h"
 #include "driver/Pipeline.h"
 #include "driver/Quarantine.h"
 #include "driver/Serve.h"
 #include "driver/Snapshot.h"
 #include "interp/RuntimeTrap.h"
-#include "profile/ProfileDb.h"
 #include "support/FailPoint.h"
 #include "support/MemoryBudget.h"
 #include "support/Metrics.h"
@@ -177,35 +160,13 @@ struct ServerOptions {
   int64_t MaxSubmitWaitMs = -1;
   uint64_t BrownoutMemBytes = 0;
   std::string MetricsJsonPath;
-  bool Adaptive = false;
-  double CanaryFraction = 0.25;
-  int64_t RespecializeIntervalMs = 1000;
-  uint64_t ArcThreshold = 0;
-  uint64_t ArcSample = 1;
-  std::string ProfileDbPath;
 };
 
 /// SIGTERM/SIGINT request a graceful drain.  sig_atomic_t flag only in
 /// the handler; everything else happens on the main thread afterwards.
 volatile sig_atomic_t ShutdownRequested = 0;
-/// SIGHUP asks every adaptive controller for an immediate
-/// respecialization; the flag is consumed by the accept loop.
-volatile sig_atomic_t RespecializeRequested = 0;
 
 void onShutdownSignal(int) { ShutdownRequested = 1; }
-
-void onRespecializeSignal(int) { RespecializeRequested = 1; }
-
-void installRespecializeHandler() {
-  struct sigaction SA;
-  std::memset(&SA, 0, sizeof(SA));
-  SA.sa_handler = onRespecializeSignal;
-  sigemptyset(&SA.sa_mask);
-  // SA_RESTART: a SIGHUP must nudge the controllers, not tear the
-  // blocking request read (and with it the whole stream) mid-line.
-  SA.sa_flags = SA_RESTART;
-  sigaction(SIGHUP, &SA, nullptr);
-}
 
 void installShutdownHandlers() {
   struct sigaction SA;
@@ -231,7 +192,6 @@ metrics::Counter CtrTrap("micad.trap");
 metrics::Counter CtrGaveUp("micad.gave_up");
 metrics::Counter CtrRejected("micad.rejected");
 metrics::Counter CtrCancelled("micad.cancelled");
-metrics::Counter CtrAdaptiveRetries("micad.adaptive_retries");
 metrics::Counter CtrShed("micad.shed");
 metrics::Counter CtrQuarantined("serve.quarantined");
 metrics::Counter CtrDegradedBuilds("serve.degraded_builds");
@@ -259,9 +219,6 @@ struct Job {
                "             [--threads N] [--isolation thread|fork]\n"
                "             [--queue-capacity N] [--shed]\n"
                "             [--max-submit-wait-ms N] [--brownout-mem-bytes N]\n"
-               "             [--adaptive] [--canary-fraction F]\n"
-               "             [--respecialize-interval MS] [--arc-threshold N]\n"
-               "             [--arc-sample N] [--profile-db FILE]\n"
                "jobs are key=value lines: src= id= config= input= "
                "profile-input=\n"
                "  deadline-ms= retries= inject= max-depth= max-nodes= "
@@ -656,16 +613,12 @@ std::string deltaJson(
 class ThreadServer {
 public:
   explicit ThreadServer(const ServerOptions &O)
-      : Opts(O),
-        Engine(engineOptions(O),
+      : Engine(engineOptions(O),
                [this](ServeEngine::Completion &&Cmp) { emit(std::move(Cmp)); }) {}
 
   /// Compiles (or reuses) the job's snapshot and enqueues it.  Builds run
   /// on the accept thread: they are cached, and serializing them keeps
-  /// the pool for measured runs only.  Adaptive mode routes through the
-  /// job's controller instead: the controller decides which snapshot
-  /// (incumbent or canarying candidate) serves this job and whether its
-  /// arcs feed the live profile.
+  /// the pool for measured runs only.
   void dispatch(Job J, const ServerOptions &O, size_t LineNo) {
     // Crash quarantine: a source whose jobs repeatedly trapped on guards
     // or injected faults reroutes to fork isolation, exactly like inject=
@@ -687,16 +640,9 @@ public:
         J.MaxBytes >= 0 ? static_cast<uint64_t>(J.MaxBytes) : O.DefaultMaxBytes;
     CtrJobs.add();
 
-    PendingJob PJ;
     std::string Err;
-    if (O.Adaptive) {
-      PJ.Ctrl = controllerFor(J, Err);
-      if (PJ.Ctrl)
-        PJ.T = PJ.Ctrl->admit();
-    } else {
-      PJ.T.Snap = snapshotFor(J, Err);
-    }
-    if (!PJ.T.Snap) {
+    std::shared_ptr<const CompiledSnapshot> Snap = snapshotFor(J, Err);
+    if (!Snap) {
       std::cerr << "micad: job '" << J.Id << "': " << Err << '\n';
       CtrGaveUp.add();
       AttemptResult R;
@@ -708,24 +654,22 @@ public:
 
     ServeEngine::Job SJ;
     SJ.Id = std::to_string(NextTicket);
-    SJ.Snapshot = PJ.T.Snap;
+    SJ.Snapshot = std::move(Snap);
     SJ.Input = J.Input;
     SJ.DeadlineMs = J.DeadlineMs;
     SJ.Limits = J.Limits;
     SJ.CollectMetricsDelta = true;
-    SJ.CollectArcs = PJ.T.SampleArcs;
-    PJ.J = std::move(J);
     uint64_t Ticket = NextTicket++;
     {
       std::lock_guard<std::mutex> Lock(PendingM);
-      Pending.emplace(Ticket, std::move(PJ));
+      Pending.emplace(Ticket, std::move(J));
     }
     ServeEngine::Admit A = Engine.submit(std::move(SJ));
     if (A == ServeEngine::Admit::Accepted)
       return;
     // Refused at admission: reclaim the pending entry and give the job a
     // definite outcome anyway.
-    PendingJob Dropped;
+    Job Dropped;
     {
       std::lock_guard<std::mutex> Lock(PendingM);
       auto It = Pending.find(Ticket);
@@ -734,41 +678,25 @@ public:
       Dropped = std::move(It->second);
       Pending.erase(It);
     }
-    // A shed canary ticket still owes the controller a canary completion
-    // (issuance is bounded by CanaryJobs, so a dropped report would
-    // starve the verdict forever); charge it as a routing failure,
-    // exactly like the adaptive.canary failpoint.
-    if (Dropped.Ctrl && Dropped.T.Canary)
-      Dropped.Ctrl->report(Dropped.T, /*Ok=*/false, /*Cycles=*/0, nullptr);
     AttemptResult R;
     if (A == ServeEngine::Admit::Shed) {
       CtrShed.add();
       R.K = AttemptResult::Rejected;
-      emitResult(Dropped.J, "shed", 0, R);
+      emitResult(Dropped, "shed", 0, R);
     } else {
       CtrCancelled.add();
       R.K = AttemptResult::Cancelled;
-      emitResult(Dropped.J, "cancelled", 0, R);
+      emitResult(Dropped, "cancelled", 0, R);
     }
-  }
-
-  /// SIGHUP: ask every controller to respecialize now.
-  void requestRespecializeAll() {
-    std::lock_guard<std::mutex> Lock(ControllersM);
-    for (auto &[Key, C] : Controllers)
-      C->requestRespecialize();
   }
 
   /// Graceful drain: stop admission, cooperatively cancel in-flight jobs
   /// when a shutdown signal asked for it, report still-queued jobs as
-  /// cancelled, join the pool, stop the respecializers.
+  /// cancelled, join the pool.
   void shutdown() {
     if (ShutdownRequested)
       Engine.cancelInFlight();
     Engine.shutdown(/*CancelQueued=*/ShutdownRequested != 0);
-    std::lock_guard<std::mutex> Lock(ControllersM);
-    for (auto &[Key, C] : Controllers)
-      C->stop();
   }
 
 private:
@@ -782,77 +710,9 @@ private:
     return EO;
   }
 
-  /// One controller per (src, config): finds or creates it, building the
-  /// initial incumbent from the persisted profile generation when
-  /// --profile-db has one (empty profile otherwise — Selective degrades
-  /// to CHA until live arcs accumulate).  Null + message when the
-  /// incumbent cannot be built at all.
-  AdaptiveController *controllerFor(const Job &J, std::string &Err) {
-    std::string Key = SnapshotCache::makeKey({J.Src}, J.Configuration,
-                                             defaultTier(), "adaptive");
-    std::lock_guard<std::mutex> Lock(ControllersM);
-    auto It = Controllers.find(Key);
-    if (It != Controllers.end())
-      return It->second.get();
-
-    const std::string Src = J.Src;
-    const Config Cfg = J.Configuration;
-    const ResourceLimits Lim = J.Limits;
-    AdaptiveController::SnapshotBuilder Build =
-        [Src, Cfg,
-         Lim](const CallGraph &Prof,
-              std::string &E) -> std::shared_ptr<const CompiledSnapshot> {
-      std::shared_ptr<Workbench> WB = Workbench::fromFiles({Src}, E);
-      if (!WB)
-        return nullptr;
-      WB->setLimits(Lim);
-      WB->profile().merge(Prof);
-      // Brown-out rung 3: under sustained pressure a rebuild settles for
-      // the cheapest compile that still serves; the next build after the
-      // ladder recovers is Selective again.
-      Config UseCfg = Cfg;
-      if (UseCfg == Config::Selective && overload::degradeToCha()) {
-        UseCfg = Config::CHA;
-        CtrDegradedBuilds.add();
-      }
-      std::shared_ptr<const CompiledSnapshot> S =
-          WB->buildSnapshot(UseCfg, E, {}, {}, WB);
-      std::string D = WB->diagnostics().toString();
-      if (!D.empty())
-        std::cerr << D;
-      return S;
-    };
-
-    CallGraph Seed;
-    if (!Opts.ProfileDbPath.empty()) {
-      ProfileDb Db;
-      Diagnostics Diags;
-      if (Db.loadFromFile(Opts.ProfileDbPath, Diags) && Db.hasProgram(Src))
-        Seed.merge(Db.forProgram(Src));
-    }
-    std::shared_ptr<const CompiledSnapshot> Incumbent = Build(Seed, Err);
-    if (!Incumbent)
-      return nullptr;
-
-    AdaptiveController::Options AO;
-    AO.CanaryFraction = Opts.CanaryFraction;
-    AO.RespecializeIntervalMs = Opts.RespecializeIntervalMs;
-    AO.ArcWeightThreshold = Opts.ArcThreshold;
-    AO.SampleEvery = Opts.ArcSample;
-    AO.ProfileDbPath = Opts.ProfileDbPath;
-    AO.ProgramKey = Src;
-    auto C = std::make_unique<AdaptiveController>(std::move(Incumbent),
-                                                  std::move(Build), AO);
-    if (!Seed.empty())
-      C->seedProfile(Seed);
-    AdaptiveController *Ptr = C.get();
-    Controllers.emplace(std::move(Key), std::move(C));
-    return Ptr;
-  }
-
   std::shared_ptr<const CompiledSnapshot> snapshotFor(const Job &J,
                                                       std::string &Err) {
-    // Brown-out rung 3: a Selective job arriving while the ladder sits at
+    // Brown-out: a Selective job arriving while the ladder sits at
     // cha-only gets the CHA snapshot instead — keyed as CHA, so it shares
     // the artifact with genuine CHA jobs and a later Selective request
     // after recovery builds the real thing fresh.
@@ -885,25 +745,18 @@ private:
         Err);
   }
 
-  /// Renders one completion as its JSON result line.  Adaptive jobs first
-  /// report their outcome to the controller (feeding the canary verdict
-  /// and the live profile), and a job that timed out while a
-  /// promotion/rollback swapped snapshots under it — or that was canary
-  /// traffic on a candidate — is retried once, synchronously, on the
-  /// incumbent: those failures are transient routing artifacts, not
-  /// verdicts about the job.
+  /// Renders one completion as its JSON result line.
   void emit(ServeEngine::Completion &&Cmp) {
-    PendingJob PJ;
+    Job J;
     {
       std::lock_guard<std::mutex> Lock(PendingM);
       uint64_t Ticket = std::strtoull(Cmp.TheJob.Id.c_str(), nullptr, 10);
       auto It = Pending.find(Ticket);
       if (It == Pending.end())
         return; // can't happen: every submit registered a ticket
-      PJ = std::move(It->second);
+      J = std::move(It->second);
       Pending.erase(It);
     }
-    Job &J = PJ.J;
     if (Cmp.Cancelled) {
       CtrCancelled.add();
       AttemptResult R;
@@ -911,86 +764,45 @@ private:
       emitResult(J, "cancelled", 0, R);
       return;
     }
-    const CompiledSnapshot::JobResult *JR = &Cmp.Result;
-    int Attempts = 1;
-    CompiledSnapshot::JobResult Retry;
-    if (PJ.Ctrl) {
-      PJ.Ctrl->report(PJ.T, JR->Ok, JR->Ok ? JR->R.Run.Cycles : 0,
-                      PJ.T.SampleArcs ? &JR->Arcs : nullptr);
-      bool Transient =
-          !JR->Ok && JR->Trap.Kind == TrapKind::DeadlineExceeded &&
-          (PJ.T.Canary || PJ.Ctrl->epoch() != PJ.T.Epoch) &&
-          !ShutdownRequested;
-      if (Transient) {
-        CtrAdaptiveRetries.add();
-        std::shared_ptr<const CompiledSnapshot> Inc = PJ.Ctrl->incumbent();
-        CancelToken Tok;
-        if (J.DeadlineMs > 0)
-          Tok.setDeadline(Deadline::afterMillis(J.DeadlineMs));
-        CompiledSnapshot::JobOptions JO;
-        JO.Limits = J.Limits;
-        JO.Cancel = &Tok;
-        Retry = Inc->run(J.Input, JO);
-        // The retry is plain incumbent traffic as far as health goes.
-        AdaptiveController::Ticket T2;
-        T2.Snap = Inc;
-        T2.Epoch = PJ.Ctrl->epoch();
-        PJ.Ctrl->report(T2, Retry.Ok, Retry.Ok ? Retry.R.Run.Cycles : 0,
-                        nullptr);
-        JR = &Retry;
-        Attempts = 2;
-      }
-    }
+    const CompiledSnapshot::JobResult &JR = Cmp.Result;
     AttemptResult R;
     R.WallMs = static_cast<int64_t>(Cmp.RunNanos / 1000000);
-    R.MetricsJson = deltaJson(JR->MetricsDelta);
-    if (JR->Ok) {
+    R.MetricsJson = deltaJson(JR.MetricsDelta);
+    if (JR.Ok) {
       CtrOk.add();
-      if (Attempts > 1)
-        CtrRetried.add();
-      emitResult(J, Attempts == 1 ? "ok" : "retried(1)", Attempts, R);
+      emitResult(J, "ok", 1, R);
       return;
     }
-    std::cerr << "micad: job '" << J.Id << "': " << JR->Error << '\n';
-    if (JR->Trap.Kind == TrapKind::DeadlineExceeded) {
+    std::cerr << "micad: job '" << J.Id << "': " << JR.Error << '\n';
+    if (JR.Trap.Kind == TrapKind::DeadlineExceeded) {
       CtrTimeout.add();
       R.K = AttemptResult::SoftTimeout;
       R.TheTrap = TrapKind::DeadlineExceeded;
       R.ExitCode = trapExitCode(TrapKind::DeadlineExceeded);
-      emitResult(J, "timeout", Attempts, R);
-    } else if (JR->Trap.isTrap()) {
+      emitResult(J, "timeout", 1, R);
+    } else if (JR.Trap.isTrap()) {
       CtrTrap.add();
-      if (Quar.recordTrap(J.Src, JR->Trap.Kind))
+      if (Quar.recordTrap(J.Src, JR.Trap.Kind))
         std::cerr << "micad: quarantining '" << J.Src << "' after repeated "
-                  << trapKindName(JR->Trap.Kind)
+                  << trapKindName(JR.Trap.Kind)
                   << " traps; its jobs now take the fork path\n";
       R.K = AttemptResult::Trap;
-      R.TheTrap = JR->Trap.Kind;
-      R.ExitCode = trapExitCode(JR->Trap.Kind);
-      emitResult(J, std::string("trap:") + trapKindName(JR->Trap.Kind),
-                 Attempts, R);
+      R.TheTrap = JR.Trap.Kind;
+      R.ExitCode = trapExitCode(JR.Trap.Kind);
+      emitResult(J, std::string("trap:") + trapKindName(JR.Trap.Kind), 1,
+                 R);
     } else {
       CtrGaveUp.add();
       R.K = AttemptResult::Rejected;
       R.ExitCode = 1;
-      emitResult(J, "gave-up", Attempts, R);
+      emitResult(J, "gave-up", 1, R);
     }
   }
 
-  /// What dispatch() knew about a submitted job, rejoined at completion.
-  struct PendingJob {
-    Job J;
-    AdaptiveController *Ctrl = nullptr; ///< null in non-adaptive mode
-    AdaptiveController::Ticket T;
-  };
-
-  const ServerOptions Opts;
   SnapshotCache Cache;
-  std::mutex ControllersM;
-  std::unordered_map<std::string, std::unique_ptr<AdaptiveController>>
-      Controllers;
   std::mutex PendingM;
-  std::unordered_map<uint64_t, PendingJob> Pending;
+  /// What dispatch() knew about each submitted job, rejoined at completion.
+  std::unordered_map<uint64_t, Job> Pending;
   uint64_t NextTicket = 1;
   CrashQuarantine Quar;
   ServeEngine Engine; // last: its threads may call emit() immediately
@@ -1063,36 +875,12 @@ ServerOptions parseArgs(int Argc, char **Argv) {
       O.QueueCapacity = static_cast<size_t>(NextInt("--queue-capacity"));
     else if (A == "--metrics-json")
       O.MetricsJsonPath = NextValue();
-    else if (A == "--adaptive")
-      O.Adaptive = true;
-    else if (A == "--canary-fraction") {
-      std::string V = NextValue();
-      char *End = nullptr;
-      double F = std::strtod(V.c_str(), &End);
-      if (!End || *End != '\0' || !(F > 0.0) || F > 1.0)
-        usage("bad value for --canary-fraction (want 0 < F <= 1)");
-      O.CanaryFraction = F;
-    } else if (A == "--respecialize-interval")
-      O.RespecializeIntervalMs = NextInt("--respecialize-interval");
-    else if (A == "--arc-threshold")
-      O.ArcThreshold = static_cast<uint64_t>(NextInt("--arc-threshold"));
-    else if (A == "--arc-sample")
-      O.ArcSample = static_cast<uint64_t>(NextInt("--arc-sample"));
-    else if (A == "--profile-db")
-      O.ProfileDbPath = NextValue();
     else if (!A.empty() && A[0] == '-')
       usage(("unknown option " + A).c_str());
     else if (O.JobsPath.empty())
       O.JobsPath = A;
     else
       usage("more than one jobs file");
-  }
-  if (O.Adaptive) {
-    // Adaptive respecialization lives in the in-process serving path:
-    // controllers, live arcs and the RCU swap all need shared snapshots.
-    if (IsolationExplicit && O.Iso == Isolation::Fork)
-      usage("--adaptive requires thread isolation");
-    O.Iso = Isolation::Thread;
   }
   return O;
 }
@@ -1114,11 +902,9 @@ int main(int Argc, char **Argv) {
   // A worker's death must never take the server with it.
   signal(SIGPIPE, SIG_IGN);
   installShutdownHandlers();
-  if (O.Adaptive)
-    installRespecializeHandler();
 
-  // Arm process-wide failpoints from the environment (soaks arm the
-  // adaptive.* points this way; per-job inject= still forks).
+  // Arm process-wide failpoints from the environment (per-job inject=
+  // still forks).
   {
     std::string FpErr;
     if (!failpoint::armFromEnv(FpErr)) {
@@ -1145,11 +931,6 @@ int main(int Argc, char **Argv) {
   std::string Line;
   while (!ShutdownRequested && std::getline(In, Line)) {
     ++LineNo;
-    if (RespecializeRequested) {
-      RespecializeRequested = 0;
-      if (TS)
-        TS->requestRespecializeAll();
-    }
     size_t Start = Line.find_first_not_of(" \t");
     if (Start == std::string::npos || Line[Start] == '#')
       continue;

@@ -546,6 +546,8 @@ Value RuntimeCore::callGeneric(const std::string &Name,
 
   Control C;
   Value Result = enter(Target, CP.selectVersion(Target, Classes), Args, C);
+  if (Opts.Profile)
+    foldArcs();
   if (C.K == Control::Kind::Error)
     return Value::nil();
   if (C.K == Control::Kind::Return) {
@@ -555,6 +557,36 @@ Value RuntimeCore::callGeneric(const std::string &Name,
   }
   Ok = true;
   return Result;
+}
+
+void RuntimeCore::countArc(CallSiteId Site, MethodId Callee) {
+  if (SiteCallees.empty())
+    SiteCallees.resize(P.numCallSites());
+  auto &Row = SiteCallees[Site.value()];
+  for (auto &[M, N] : Row)
+    if (M == Callee) {
+      ++N;
+      return;
+    }
+  Row.push_back({Callee, 1});
+}
+
+void RuntimeCore::foldArcs() {
+  // Keys come out in (site, callee) order with one caller per site, so
+  // every addHits appends.
+  CallGraph Run;
+  for (uint32_t S = 0; S != SiteCallees.size(); ++S) {
+    auto &Row = SiteCallees[S];
+    std::sort(Row.begin(), Row.end());
+    const CallSiteId Site(S);
+    for (const auto &[Callee, N] : Row)
+      Run.addHits(Site, P.callSite(Site).Owner, Callee, N);
+    Row.clear();
+  }
+  if (Opts.Profile->empty())
+    *Opts.Profile = std::move(Run);
+  else
+    Opts.Profile->merge(Run);
 }
 
 bool RuntimeCore::callMain(int64_t Arg) {

@@ -83,7 +83,9 @@ struct RunStats {
 };
 
 struct RunOptions {
-  /// Record (site, caller, callee, weight) arcs into Profile.
+  /// Record (site, caller, callee, weight) arcs into Profile.  The arcs of
+  /// a callGeneric are in Profile when it returns, trapped or not, and
+  /// add to those already there.
   CallGraph *Profile = nullptr;
   /// Verify every statically-bound send against real dispatch (tests).
   bool ValidateBindings = false;
@@ -348,10 +350,19 @@ protected:
     return TheHeap.newInstance(Cls, Slots);
   }
 
+  /// The profile arc of one send: the only place every binding kind, on
+  /// both tiers, records one.  Without a profile it costs one predictable
+  /// branch; the counting is out of line.
   void recordArc(CallSiteId Site, MethodId Callee) {
-    if (Opts.Profile && Site.isValid())
-      Opts.Profile->addHits(Site, P.callSite(Site).Owner, Callee);
+    if (Opts.Profile && Site.isValid()) [[unlikely]]
+      countArc(Site, Callee);
   }
+  /// One more call of \p Callee from \p Site in SiteCallees.
+  [[gnu::noinline]] void countArc(CallSiteId Site, MethodId Callee);
+  /// Adds SiteCallees to RunOptions::Profile, site by site, and clears
+  /// them: a site's caller is the method that contains it, so the
+  /// counters hold every (site, caller, callee) arc and its weight.
+  void foldArcs();
 
   /// RunOptions::ValidateBindings: checks a statically bound send (Static,
   /// StaticSelect or InlinePrim) against real dispatch on \p Args.  False
@@ -531,6 +542,10 @@ protected:
   uint64_t CurrentHome = 0;
   /// Active method invocations, innermost last (for error stack traces).
   std::vector<MethodId> CallStack;
+  /// While RunOptions::Profile collects: per call site, the callees it
+  /// invoked with their call counts, in first-call order.  Sized on the
+  /// first arc; callGeneric folds them into the profile before it returns.
+  std::vector<std::vector<std::pair<MethodId, uint64_t>>> SiteCallees;
 
 private:
   void render(const Value &V, std::string &Out,

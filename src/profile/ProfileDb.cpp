@@ -16,6 +16,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -27,7 +28,7 @@ namespace {
 
 /// FNV-1a 64-bit; the on-disk checksum of the record body.  Not
 /// cryptographic — it only needs to catch torn writes and bit rot.
-uint64_t fnv1a64(const std::string &Bytes) {
+uint64_t fnv1a64(std::string_view Bytes) {
   uint64_t H = UINT64_C(1469598103934665603);
   for (unsigned char Ch : Bytes) {
     H ^= Ch;
@@ -75,7 +76,7 @@ namespace {
 /// Parses a non-negative decimal integer that fits \p Out; rejects signs,
 /// junk suffixes and overflow (so a bit-flipped digit string never wraps
 /// into a silently different id).
-bool parseUInt(const std::string &Tok, uint64_t Max, uint64_t &Out) {
+bool parseUInt(std::string_view Tok, uint64_t Max, uint64_t &Out) {
   if (Tok.empty())
     return false;
   uint64_t V = 0;
@@ -91,86 +92,128 @@ bool parseUInt(const std::string &Tok, uint64_t Max, uint64_t &Out) {
   return true;
 }
 
+/// The whitespace-separated words of one line, as `>>` into a string
+/// splits them in the C locale; next() is empty once none is left.
+class Words {
+public:
+  explicit Words(std::string_view Line) : Rest(Line) {}
+
+  std::string_view next() {
+    size_t Begin = 0;
+    while (Begin != Rest.size() && isSpace(Rest[Begin]))
+      ++Begin;
+    size_t End = Begin;
+    while (End != Rest.size() && !isSpace(Rest[End]))
+      ++End;
+    std::string_view Word = Rest.substr(Begin, End - Begin);
+    Rest.remove_prefix(End);
+    return Word;
+  }
+
+private:
+  static bool isSpace(char Ch) {
+    return Ch == ' ' || Ch == '\t' || Ch == '\n' || Ch == '\v' ||
+           Ch == '\f' || Ch == '\r';
+  }
+
+  std::string_view Rest;
+};
+
 } // namespace
 
 bool ProfileDb::deserialize(const std::string &Text, Diagnostics &Diags) {
-  std::istringstream IS(Text);
-  std::string Line;
+  // Lines as std::getline splits them: a final newline ends the last line
+  // rather than starting an empty one.
+  const std::string_view All(Text);
+  size_t Pos = 0;
+  std::string_view Line;
   unsigned LineNo = 0;
+  auto nextLine = [&] {
+    if (Pos == All.size())
+      return false;
+    size_t End = All.find('\n', Pos);
+    if (End == std::string_view::npos)
+      End = All.size();
+    Line = All.substr(Pos, End - Pos);
+    Pos = End == All.size() ? End : End + 1;
+    ++LineNo;
+    return true;
+  };
   auto reject = [&](const std::string &Why) {
     Diags.error(SourceLoc{LineNo, 1}, "profile line " +
                                           std::to_string(LineNo) + ": " + Why);
     return false;
   };
+  auto quoted = [](std::string_view Word) {
+    return "'" + std::string(Word) + "'";
+  };
 
-  if (!std::getline(IS, Line)) {
+  if (!nextLine()) {
     LineNo = 1;
     return reject("empty input, expected 'selspec-profile v1' or "
                   "'selspec-profile v2' header");
   }
-  ++LineNo;
+  uint64_t Gen = 0;
   if (Line != "selspec-profile v1") {
     // v2: "selspec-profile v2 gen <N> sum <16-hex>", checksummed body.
-    std::istringstream HS(Line);
-    std::string Magic, Ver, GenWord, GenTok, SumWord, SumTok, Extra;
-    if (!(HS >> Magic >> Ver >> GenWord >> GenTok >> SumWord >> SumTok) ||
-        Magic != "selspec-profile" || Ver != "v2" || GenWord != "gen" ||
-        SumWord != "sum" || (HS >> Extra))
-      return reject("bad header '" + Line + "', expected 'selspec-profile "
-                    "v1' or 'selspec-profile v2 gen <N> sum <hex>'");
-    uint64_t Gen = 0;
+    Words W(Line);
+    std::string_view Magic = W.next(), Ver = W.next(), GenWord = W.next(),
+                     GenTok = W.next(), SumWord = W.next(), SumTok = W.next();
+    if (SumTok.empty() || Magic != "selspec-profile" || Ver != "v2" ||
+        GenWord != "gen" || SumWord != "sum" || !W.next().empty())
+      return reject("bad header " + quoted(Line) +
+                    ", expected 'selspec-profile v1' or 'selspec-profile "
+                    "v2 gen <N> sum <hex>'");
     if (!parseUInt(GenTok, UINT64_MAX, Gen))
-      return reject("bad generation '" + GenTok + "' in v2 header");
+      return reject("bad generation " + quoted(GenTok) + " in v2 header");
     uint64_t Sum = 0;
     if (SumTok.size() != 16)
-      return reject("bad checksum '" + SumTok + "' in v2 header");
+      return reject("bad checksum " + quoted(SumTok) + " in v2 header");
     for (char Ch : SumTok) {
       int Digit = Ch >= '0' && Ch <= '9'   ? Ch - '0'
                   : Ch >= 'a' && Ch <= 'f' ? Ch - 'a' + 10
                                            : -1;
       if (Digit < 0)
-        return reject("bad checksum '" + SumTok + "' in v2 header");
+        return reject("bad checksum " + quoted(SumTok) + " in v2 header");
       Sum = (Sum << 4) | static_cast<uint64_t>(Digit);
     }
     if (failpoint::anyArmed() && failpoint::triggered("profiledb.load.header"))
       return reject(failpoint::failureMessage("profiledb.load.header"));
-    size_t BodyStart = Text.find('\n');
-    std::string Body =
-        BodyStart == std::string::npos ? "" : Text.substr(BodyStart + 1);
-    if (fnv1a64(Body) != Sum)
+    if (fnv1a64(All.substr(Pos)) != Sum)
       return reject("checksum mismatch (torn or corrupted file)");
-    if (Gen > Generation)
-      Generation = Gen;
   }
 
+  // Records land in Parsed and reach Graphs only once the whole text has
+  // parsed, so a rejected input leaves the database as it was.
+  std::map<std::string, CallGraph> Parsed;
   CallGraph *Current = nullptr;
   size_t DeclaredArcs = 0, SeenArcs = 0;
-  std::string CurrentName;
+  std::string_view CurrentName;
   auto checkArcCount = [&] {
     if (Current && SeenArcs != DeclaredArcs)
-      return reject("program '" + CurrentName + "' declares " +
+      return reject("program " + quoted(CurrentName) + " declares " +
                     std::to_string(DeclaredArcs) + " arc(s) but " +
                     std::to_string(SeenArcs) + " follow (truncated?)");
     return true;
   };
 
-  while (std::getline(IS, Line)) {
-    ++LineNo;
-    std::istringstream LS(Line);
-    std::string Word;
-    if (!(LS >> Word))
+  while (nextLine()) {
+    Words W(Line);
+    std::string_view Word = W.next();
+    if (Word.empty())
       continue; // blank line
     if (Word == "program") {
       if (!checkArcCount())
         return false;
-      std::string Name, Count;
+      std::string_view Name = W.next(), Count = W.next();
       uint64_t N = 0;
-      if (!(LS >> Name >> Count) || !parseUInt(Count, SIZE_MAX, N))
+      if (Count.empty() || !parseUInt(Count, SIZE_MAX, N))
         return reject("malformed program record, expected "
                       "'program <name> <num-arcs>'");
-      if (LS >> Word)
-        return reject("trailing junk '" + Word + "' after program record");
-      Current = &Graphs[Name];
+      if (std::string_view Junk = W.next(); !Junk.empty())
+        return reject("trailing junk " + quoted(Junk) +
+                      " after program record");
+      Current = &Parsed[std::string(Name)];
       CurrentName = Name;
       DeclaredArcs = static_cast<size_t>(N);
       SeenArcs = 0;
@@ -179,26 +222,35 @@ bool ProfileDb::deserialize(const std::string &Text, Diagnostics &Diags) {
     if (Word == "arc") {
       if (!Current)
         return reject("arc record before any program record");
-      std::string T[4];
       uint64_t Site = 0, Caller = 0, Callee = 0, Weight = 0;
-      if (!(LS >> T[0] >> T[1] >> T[2] >> T[3]) ||
-          !parseUInt(T[0], UINT32_MAX, Site) ||
-          !parseUInt(T[1], UINT32_MAX, Caller) ||
-          !parseUInt(T[2], UINT32_MAX, Callee) ||
-          !parseUInt(T[3], UINT64_MAX, Weight))
+      if (!parseUInt(W.next(), UINT32_MAX, Site) ||
+          !parseUInt(W.next(), UINT32_MAX, Caller) ||
+          !parseUInt(W.next(), UINT32_MAX, Callee) ||
+          !parseUInt(W.next(), UINT64_MAX, Weight))
         return reject("malformed arc record, expected "
                       "'arc <site> <caller> <callee> <weight>'");
-      if (LS >> Word)
-        return reject("trailing junk '" + Word + "' after arc record");
+      if (std::string_view Junk = W.next(); !Junk.empty())
+        return reject("trailing junk " + quoted(Junk) + " after arc record");
       Current->addHits(CallSiteId(static_cast<uint32_t>(Site)),
                        MethodId(static_cast<uint32_t>(Caller)),
                        MethodId(static_cast<uint32_t>(Callee)), Weight);
       ++SeenArcs;
       continue;
     }
-    return reject("unknown record '" + Word + "'");
+    return reject("unknown record " + quoted(Word));
   }
-  return checkArcCount();
+  if (!checkArcCount())
+    return false;
+
+  if (Graphs.empty()) {
+    Graphs = std::move(Parsed);
+  } else {
+    for (auto &[Name, Graph] : Parsed)
+      Graphs[Name].merge(Graph);
+  }
+  if (Gen > Generation)
+    Generation = Gen;
+  return true;
 }
 
 size_t ProfileDb::validate(const std::string &ProgramName, const Program &P,
@@ -244,18 +296,13 @@ size_t ProfileDb::validate(const std::string &ProgramName, const Program &P,
 /// unreadable files (the next save then writes generation 1).
 static uint64_t peekGeneration(const std::string &Path) {
   std::ifstream IS(Path);
-  if (!IS)
-    return 0;
   std::string Line;
-  if (!std::getline(IS, Line))
+  if (!IS || !std::getline(IS, Line))
     return 0;
-  std::istringstream HS(Line);
-  std::string Magic, Ver, GenWord, GenTok;
-  if (!(HS >> Magic >> Ver >> GenWord >> GenTok) ||
-      Magic != "selspec-profile" || Ver != "v2" || GenWord != "gen")
-    return 0;
+  Words W(Line);
   uint64_t Gen = 0;
-  if (!parseUInt(GenTok, UINT64_MAX, Gen))
+  if (W.next() != "selspec-profile" || W.next() != "v2" ||
+      W.next() != "gen" || !parseUInt(W.next(), UINT64_MAX, Gen))
     return 0;
   return Gen;
 }
@@ -351,25 +398,20 @@ bool ProfileDb::saveToFile(const std::string &Path,
 }
 
 bool ProfileDb::loadOneFile(const std::string &Path, Diagnostics &Diags) {
-  std::ifstream IS(Path);
-  if (!IS) {
+  std::FILE *F = std::fopen(Path.c_str(), "rb");
+  if (!F) {
     Diags.error(SourceLoc(), "cannot read profile db '" + Path +
                                  "': " + std::strerror(errno));
     return false;
   }
-  std::ostringstream Buf;
-  Buf << IS.rdbuf();
-  // Parse into a scratch db first: deserialize leaves partial content
-  // merged on failure, and a torn primary must not pollute this db
-  // before the backup fallback runs.
-  ProfileDb Scratch;
-  if (!Scratch.deserialize(Buf.str(), Diags))
-    return false;
-  for (auto &[Name, Graph] : Scratch.Graphs)
-    Graphs[Name].merge(Graph);
-  if (Scratch.Generation > Generation)
-    Generation = Scratch.Generation;
-  return true;
+  // A read error (say, on a directory) leaves what was read, which
+  // deserialize then rejects.
+  std::string Text;
+  char Buf[1 << 16];
+  for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), F)) != 0;)
+    Text.append(Buf, N);
+  std::fclose(F);
+  return deserialize(Text, Diags);
 }
 
 bool ProfileDb::loadFromFile(const std::string &Path, Diagnostics &Diags) {

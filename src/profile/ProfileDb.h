@@ -41,6 +41,13 @@
 /// degrades to "no profile" rather than feeding garbage ids into the
 /// specializer.
 ///
+/// Loading is one read of the file and one pass over it: lines and words
+/// are string_views into the text, and since serialize() lists each
+/// program's arcs in CallGraph order, every parsed arc is appended to its
+/// graph.  A parse that succeeds moves its graphs into an empty database
+/// (the common case: a compile loading one profile) and merges them into
+/// a non-empty one.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SELSPEC_PROFILE_PROFILEDB_H
@@ -70,9 +77,9 @@ public:
   /// Serializes the whole database.
   std::string serialize() const;
 
-  /// Parses \p Text, merging into this database.  Returns false (leaving
-  /// partial content merged) on malformed input, explaining each rejection
-  /// with the 1-based line number in \p Diags.
+  /// Parses \p Text, merging into this database.  Returns false on
+  /// malformed input, explaining the rejection with its 1-based line
+  /// number in \p Diags and leaving the database as it was.
   bool deserialize(const std::string &Text, Diagnostics &Diags);
   bool deserialize(const std::string &Text) {
     Diagnostics Ignored;
@@ -99,8 +106,8 @@ public:
   /// false with errors in \p Diags only when no generation is loadable.
   bool loadFromFile(const std::string &Path, Diagnostics &Diags);
 
-  /// Generation of the most recently deserialized v2 header (0 before any
-  /// load, and for v1 inputs).
+  /// The highest generation of the v2 headers deserialized so far (0
+  /// before any load, and for v1 inputs).
   uint64_t generation() const { return Generation; }
   bool saveToFile(const std::string &Path) const {
     Diagnostics Ignored;
@@ -114,7 +121,7 @@ public:
   size_t numPrograms() const { return Graphs.size(); }
 
 private:
-  /// Loads \p Path into a scratch db and merges into *this only on full
+  /// Reads \p Path and deserializes it, which changes *this only on full
   /// success, so a torn primary cannot leave half its arcs behind before
   /// the backup is tried.
   bool loadOneFile(const std::string &Path, Diagnostics &Diags);
